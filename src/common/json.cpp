@@ -151,9 +151,16 @@ class Parser {
       case '"':
         return Json(parse_string());
       case '[':
-        return parse_array();
-      case '{':
-        return parse_object();
+      case '{': {
+        // Bounded recursion: a line of '[' from a socket must throw, not
+        // overflow the stack.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Json nested = peek() == '[' ? parse_array() : parse_object();
+        --depth_;
+        return nested;
+      }
       default:
         return parse_number();
     }
@@ -333,10 +340,15 @@ class Parser {
     }
   }
 
+  /// Deepest array/object nesting accepted. The deepest document the
+  /// library writes (a campaign spec) nests about 4 levels.
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;
 };
 
 void write_value(std::string& out, const Json& value) {

@@ -95,7 +95,8 @@ class Json {
 
   /// Strict parse of exactly one JSON value (trailing whitespace allowed,
   /// anything else rejected). Errors throw mfd::Error with 1-based
-  /// line:column and the offending token.
+  /// line:column and the offending token; so does nesting deeper than 256
+  /// arrays/objects.
   static Json parse(const std::string& text);
 
  private:

@@ -69,6 +69,11 @@ class RunControl {
   }
   [[nodiscard]] bool has_deadline() const { return has_deadline_; }
 
+  /// Links this control under `parent` (borrowed, may be null; it must
+  /// outlive this control): a stop of the parent stops this control with
+  /// the same reason. Set before starting the run.
+  void set_parent(const RunControl* parent) { parent_ = parent; }
+
   /// Requests cooperative cancellation; safe from any thread.
   void request_cancel() { cancel_.store(true, std::memory_order_release); }
   [[nodiscard]] bool cancel_requested() const {
@@ -86,6 +91,10 @@ class RunControl {
     }
     if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
       return record(StopReason::kDeadlineExceeded);
+    }
+    if (parent_ != nullptr) {
+      const StopReason inherited = parent_->check();
+      if (inherited != StopReason::kNone) return record(inherited);
     }
     return StopReason::kNone;
   }
@@ -130,6 +139,7 @@ class RunControl {
     return static_cast<StopReason>(observed_.load(std::memory_order_acquire));
   }
 
+  const RunControl* parent_ = nullptr;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   std::atomic<bool> cancel_{false};

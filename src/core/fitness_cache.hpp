@@ -12,7 +12,7 @@
 //
 // Two tiers:
 //   * in-memory: sharded, lock-striped hash maps (16 shards by default), so
-//     concurrent jobs in a Dispatcher batch share one cache with minimal
+//     concurrent jobs in one svc batch share one cache with minimal
 //     contention. A byte budget (`max_bytes`) bounds the footprint with
 //     per-shard FIFO eviction — eviction can only cost recomputation, never
 //     correctness, because entries are pure functions of their key.

@@ -85,10 +85,10 @@ Listener::AcceptStatus Listener::accept(double timeout_s, int* fd,
         accepted = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
       } while (accepted < 0 && errno == EINTR);
       if (accepted < 0) {
-        // Transient per-connection failures (peer reset before accept,
-        // fd-pressure) should not kill the accept loop.
-        if (errno == ECONNABORTED || errno == EAGAIN ||
-            errno == EWOULDBLOCK || errno == EMFILE || errno == ENFILE) {
+        // A peer that reset before accept is not an error. Fd pressure
+        // (EMFILE, ENFILE) is reported, so a caller's loop can close fds
+        // instead of spinning here.
+        if (errno == ECONNABORTED || errno == EAGAIN || errno == EWOULDBLOCK) {
           continue;
         }
         if (error != nullptr) {

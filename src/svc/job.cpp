@@ -306,4 +306,21 @@ Json JobResult::to_json() const {
   return out;
 }
 
+bool blank(const std::string& line) {
+  for (const char c : line) {
+    if (c != ' ' && c != '\t' && c != '\r') return false;
+  }
+  return true;
+}
+
+JobResult parse_error_result(int index, int line_number,
+                             const std::string& what) {
+  JobResult result;
+  result.index = index;
+  result.status =
+      Status::Fail(Outcome::kInvalidOptions, "parse",
+                   "line " + std::to_string(line_number) + ": " + what);
+  return result;
+}
+
 }  // namespace mfd::svc

@@ -12,7 +12,7 @@
 // A JobResult carries the job's Status plus serialized artifacts. Its JSON
 // form contains only deterministic fields (counters, makespans, chip text —
 // never wall-clock times), so a result file is byte-identical for a fixed
-// seed set regardless of how many dispatcher threads produced it.
+// seed set regardless of how many executor threads produced it.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,7 @@ struct JobSpec {
   /// "stuck_at_leakage".
   std::string universe = "stuck_at";
 
-  /// Per-job deadline in seconds (0 = none). The dispatcher arms a dedicated
+  /// Per-job deadline in seconds (0 = none). The executor arms a dedicated
   /// RunControl with it when the job starts.
   double deadline_s = 0.0;
   /// Evaluation threads *within* the job (codesign fitness pipeline);
@@ -166,5 +166,14 @@ struct JobResult {
   /// unknown kind/outcome, or a type mismatch, throws mfd::Error.
   static JobResult from_json(const Json& json);
 };
+
+/// True for a line a JobSpec stream skips: only spaces, tabs and CRs. A
+/// skipped line still counts in the "line N" of parse errors.
+[[nodiscard]] bool blank(const std::string& line);
+
+/// The answer a malformed spec line gets in its slot `index`:
+/// kInvalidOptions, stage "parse", "line <line_number>: <what>".
+[[nodiscard]] JobResult parse_error_result(int index, int line_number,
+                                           const std::string& what);
 
 }  // namespace mfd::svc

@@ -1,15 +1,15 @@
 // Stream-driven JSONL job driver (the core of the mfdft_jobd tool).
 //
-// run_jobd() reads one JobSpec JSON object per input line, dispatches the
-// whole batch across a Dispatcher (or, with workers > 0, a crash-isolating
-// Supervisor over worker subprocesses), and writes one JobResult JSON
-// object per line in *input order* — line i of the output always answers
-// line i of the input, even for malformed lines (those come back as
-// kInvalidOptions with stage "parse" instead of aborting the batch). Every
-// output line is assembled in memory and written whole, so a deadline or
-// cancel mid-run can never leave a partial JSONL line behind.
+// run_jobd() reads one JobSpec JSON object per input line, runs the whole
+// batch on the execution core (svc/executor.hpp) — in-process threads, or
+// with workers > 0 crash-isolated worker subprocesses — and writes one
+// JobResult JSON object per line in *input order*: line i of the output
+// always answers line i of the input, even for malformed lines (those come
+// back as kInvalidOptions with stage "parse" instead of aborting the
+// batch). Every output line is assembled in memory and written whole, so a
+// deadline or cancel mid-run can never leave a partial JSONL line behind.
 //
-// run_worker() is the other side of the supervisor's wire: the loop behind
+// run_worker() is the other side of the worker wire: the loop behind
 // `mfdft_jobd --worker`, reading one request envelope per stdin line and
 // writing one JobResult line per job, with the common/fault_inject points
 // threaded through so crash recovery is testable hermetically.
@@ -18,14 +18,17 @@
 // with stringstreams; the tools/ binary is a thin flag parser around them.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "common/eval_stats.hpp"
+#include "common/run_control.hpp"
 #include "common/trace.hpp"
-#include "svc/dispatcher.hpp"
+#include "core/fitness_cache.hpp"
+#include "svc/job.hpp"
 
 namespace mfd {
 class FaultInjectPlan;
@@ -40,19 +43,22 @@ struct JobdOptions {
   /// Default per-job deadline in seconds applied to jobs whose spec has
   /// none (0 = no default).
   double deadline_s = 0.0;
-  std::size_t queue_capacity = 16;
+  /// Optional tracer: one span per job plus service-level counters at the
+  /// end of the batch. Borrowed.
   Tracer* tracer = nullptr;
 
-  /// Crash-isolated worker subprocesses (0 = in-process dispatch over
-  /// `threads`). With workers > 0 the batch runs under a svc::Supervisor
+  /// Crash-isolated worker subprocesses (0 = in-process execution over
+  /// `threads`). With workers > 0 the batch runs on worker-pipe executors
   /// spawning `worker_command` children; output bytes for crash-free runs
   /// are identical to every in-process thread count.
   int workers = 0;
   std::vector<std::string> worker_command;
-  /// Supervisor knobs (see SupervisorOptions).
+  /// Per-job watchdog: a worker that has produced no result this many
+  /// seconds after taking a job is killed and the job requeued (0 = off).
   double stall_timeout_s = 60.0;
+  /// Losses of a job to crashed workers before it is quarantined as
+  /// kUnavailable (>= 1).
   int max_attempts = 3;
-  std::uint64_t backoff_seed = 2024;
   /// Fault-injection spec forwarded to workers (tests; "" = inherit env).
   std::string fault_inject;
 
@@ -80,22 +86,68 @@ struct JobdOptions {
   /// an uninterrupted run. false = discard any existing journal.
   bool resume = false;
   /// Batch-level drain control (borrowed, may be null). When it stops
-  /// mid-batch — a SIGTERM/SIGINT handler typically — admission stops,
-  /// unstarted jobs come back kCancelled, and the report is marked
-  /// interrupted; journaled results stay durable for a --resume rerun.
+  /// mid-batch — a SIGTERM/SIGINT handler typically — in-process jobs in
+  /// flight are cancelled through their RunControl, jobs already on a
+  /// worker process run to completion, unstarted jobs come back
+  /// kCancelled, and the report is marked interrupted; journaled results
+  /// stay durable for a --resume rerun.
   const RunControl* control = nullptr;
+
+  /// All violations in one Status (stage "jobd"), CodesignOptions style.
+  [[nodiscard]] Status validate() const;
 };
 
-/// Batch summary (forwarded dispatcher metrics plus parse accounting).
+/// Service-level snapshot aggregated over one executed batch.
+struct ServiceMetrics {
+  int jobs_total = 0;
+  /// Outcome buckets: ok / stopped (deadline, cancel) / failed (invalid,
+  /// infeasible, internal, unavailable). The three sum to jobs_total.
+  int jobs_ok = 0;
+  int jobs_stopped = 0;
+  int jobs_failed = 0;
+  /// Crash-isolation counters (always 0 in-process): jobs requeued after a
+  /// worker loss, jobs quarantined as kUnavailable after exhausting their
+  /// attempts, and worker processes lost to crashes, stalls or torn output.
+  int jobs_retried = 0;
+  int jobs_quarantined = 0;
+  int workers_lost = 0;
+  /// Shared fitness cache, when one was attached to the batch (see
+  /// core/fitness_cache.hpp): lookups served / missed across all jobs,
+  /// entries resident afterwards, and entries that arrived warm from the
+  /// persistent tier. All physical-savings accounting — the deterministic
+  /// per-job counters in `stats` are unaffected by the cache configuration.
+  /// Worker-subprocess batches leave these at 0 (each worker owns its
+  /// cache; sharing is disk-mediated and counted in the worker).
+  std::int64_t cache_shared_hits = 0;
+  std::int64_t cache_shared_misses = 0;
+  std::int64_t cache_entries = 0;
+  std::int64_t cache_disk_loaded = 0;
+  /// Queue latency (push -> start) across jobs, seconds.
+  double queue_wait_seconds_total = 0.0;
+  double queue_wait_seconds_max = 0.0;
+  /// End-to-end batch wall time, seconds.
+  double wall_seconds = 0.0;
+  /// Deterministic evaluation counters summed over every job.
+  EvalStats stats;
+
+  /// Buckets one finished job: outcome counters, queue-wait aggregates and
+  /// EvalStats.
+  void tally(const JobResult& result);
+};
+
+/// Batch summary (the executed jobs' metrics plus parse accounting).
 struct JobdReport {
   /// Input lines that held a job (blank lines are skipped).
   int jobs_total = 0;
   /// Lines rejected by the JSON/JobSpec parser (counted in jobs_total and
-  /// in the dispatcher-independent "failed" bucket below).
+  /// in the "failed" bucket below).
   int parse_errors = 0;
+  /// Outcome buckets over the whole batch: executed, parse-error and
+  /// journal-adopted slots alike.
   int jobs_ok = 0;
   int jobs_stopped = 0;
   int jobs_failed = 0;
+  /// Metrics of the jobs this run executed.
   ServiceMetrics metrics;
   /// Outcome of writing the persistent cache segment at the end of the
   /// batch (kOk when no cache_dir was configured or nothing was new).
@@ -113,18 +165,32 @@ struct JobdReport {
   /// (tools exit with a typed partial status instead of 0/3).
   bool interrupted = false;
   /// Per-job wall time in input order (campaign/bench reporting only —
-  /// never serialized into results). In-process dispatch measures every
-  /// job; worker-mode entries are 0 (the measurement dies with the worker
-  /// boundary).
+  /// never serialized into results), as the executing side measured it;
+  /// adopted and parse-error slots are 0.
   std::vector<double> job_run_seconds;
 };
+
+/// Runs specs[i] for every i in `slots` on the execution core — worker
+/// subprocesses when options.workers > 0, in-process threads otherwise —
+/// and stores each result in results[i] (index i), which must have room.
+/// `cache` (borrowed, may be null) is shared by in-process jobs;
+/// `on_result` (may be empty) sees every final result once, on an executor
+/// thread. Blocks until every listed job has a result; throws mfd::Error
+/// when the options are invalid.
+ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
+                         const std::vector<int>& slots,
+                         std::vector<JobResult>& results,
+                         const JobdOptions& options = {},
+                         core::FitnessCache* cache = nullptr,
+                         const std::function<void(const JobResult&)>&
+                             on_result = {});
 
 /// Runs every job on `in` (JSONL, one JobSpec per line) and writes one
 /// JobResult JSON line per job to `out`, in input order.
 JobdReport run_jobd(std::istream& in, std::ostream& out,
                     const JobdOptions& options = {});
 
-/// Worker-mode loop: reads one supervisor request envelope
+/// Worker-mode loop: reads one request envelope
 /// ({"job":N,"attempt":A,"spec":{...}}) per line of `in`, runs the job
 /// in-process and writes one JobResult JSON line to `out` (flushed per
 /// line), until EOF. Malformed envelopes answer with a kInternalError
@@ -133,7 +199,7 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
 /// injected faults abort/stall/truncate exactly as specified. `cache` is
 /// the worker's fitness cache (borrowed, may be null), shared between its
 /// jobs and persisted at EOF when disk-backed. Returns 0 on clean EOF, 1
-/// when `out` failed (the supervisor is gone).
+/// when `out` failed (the driving process is gone).
 int run_worker(std::istream& in, std::ostream& out,
                const FaultInjectPlan* plan = nullptr,
                core::FitnessCache* cache = nullptr);

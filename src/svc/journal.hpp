@@ -34,7 +34,7 @@
 // resumed run differ from an uninterrupted one, so they are always
 // recomputed.
 //
-// Thread-safety: append() may be called concurrently from dispatcher
+// Thread-safety: append() may be called concurrently from executor
 // worker threads (one internal mutex serializes writes); open()/close()
 // belong to the driver.
 #pragma once

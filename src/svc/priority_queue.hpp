@@ -1,7 +1,7 @@
 // Bounded multi-class priority queue for the job-service layer.
 //
-// Replaces the FIFO BoundedQueue between producers (client sessions, the
-// jobd reader) and consumers (dispatcher threads, the daemon's executors).
+// The queue of the job execution core (svc/executor.hpp), between
+// producers (a batch, the daemon's I/O thread) and its executor threads.
 // Items carry a class index — 0 is served first (interactive testgen /
 // diagnosis queries), higher classes (bulk codesign) wait — with two
 // fairness guarantees layered on top of strict priority:
@@ -21,8 +21,8 @@
 // one capacity across all classes so a bulk flood cannot starve admission
 // of interactive work for longer than the queue drain time.
 //
-// close() keeps the BoundedQueue drain contract: queued items still pop;
-// only then does pop() report exhaustion.
+// close() drains: queued items still pop; only then does pop() report
+// exhaustion.
 #pragma once
 
 #include <chrono>
@@ -111,18 +111,6 @@ class PriorityQueue {
     not_full_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return size_;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
  private:
   struct Entry {
     T item;
@@ -164,7 +152,7 @@ class PriorityQueue {
   const std::size_t capacity_;
   const Clock::duration age_promote_;
   const bool aging_enabled_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::vector<std::deque<Entry>> classes_;

@@ -6,10 +6,11 @@
 // JobResult. A shared FitnessCache only changes *how fast* that function is
 // computed — cache hits serve bit-identical values with logically identical
 // counters — never what it returns. Exceptions never escape; they come back
-// as Status kInternalError, so one malformed job cannot take down a
-// dispatcher worker.
+// as Status kInternalError, so one malformed job cannot take down an
+// executor thread.
 #pragma once
 
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -40,15 +41,16 @@ class JobContext {
   /// once per distinct source. Throws mfd::Error when unknown or malformed.
   [[nodiscard]] sched::Assay assay_for(const JobSpec& spec);
 
-  /// Distinct chips / assays currently warm (for tests and metrics).
-  [[nodiscard]] std::size_t warm_chips() const;
-  [[nodiscard]] std::size_t warm_assays() const;
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unordered_map<std::string, arch::Biochip> chips_;
   std::unordered_map<std::string, sched::Assay> assays_;
 };
+
+/// A fitness cache over the persistent tier in `dir` ("" = in-memory only)
+/// with an in-memory budget of `cache_mb` MiB (0 = unbounded).
+[[nodiscard]] std::unique_ptr<core::FitnessCache> open_fitness_cache(
+    const std::string& dir, int cache_mb);
 
 /// Runs the job to completion (or to the control's deadline/cancel), never
 /// throws. `control`, `cache` and `context` are borrowed and may be null; a

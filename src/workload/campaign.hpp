@@ -111,8 +111,8 @@ struct CampaignReport {
   /// counted inside jobs_failed for backward compatibility of the ok/failed
   /// split, broken out here for recovery accounting.
   int jobs_stopped = 0;
-  /// Crash-recovery counters, plumbed from the executing backend's
-  /// ServiceMetrics (svc/job_runner.hpp); all 0 for in-process dispatch.
+  /// Crash-recovery counters, plumbed from the batch's ServiceMetrics
+  /// (svc/jobd.hpp); all 0 for in-process execution.
   int jobs_retried = 0;
   int jobs_quarantined = 0;
   int workers_lost = 0;

@@ -1,16 +1,19 @@
-// Dispatcher: input-order results, thread-count-independent serialized
-// output, cascading cancellation, per-job deadlines, metrics aggregation.
-#include "svc/dispatcher.hpp"
-
+// In-process batch execution on the job core (run_batch with threads):
+// input-order results, thread-count-independent serialized output,
+// cascading cancellation through the batch control, per-job deadlines,
+// metrics aggregation.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/run_control.hpp"
 #include "svc/job.hpp"
+#include "svc/jobd.hpp"
 
 namespace mfd::svc {
 namespace {
@@ -31,23 +34,34 @@ std::vector<JobSpec> small_batch() {
   };
 }
 
+/// Runs every spec of the batch; `metrics` (optional) receives its metrics.
+std::vector<JobResult> run(const std::vector<JobSpec>& specs,
+                           const JobdOptions& options = {},
+                           ServiceMetrics* metrics = nullptr) {
+  std::vector<int> slots(specs.size());
+  std::iota(slots.begin(), slots.end(), 0);
+  std::vector<JobResult> results(specs.size());
+  const ServiceMetrics m = run_batch(specs, slots, results, options);
+  if (metrics != nullptr) *metrics = m;
+  return results;
+}
+
 TEST(DispatcherOptionsTest, ValidateListsEveryBadField) {
-  DispatcherOptions options;
+  JobdOptions options;
   options.threads = -1;
-  options.queue_capacity = 0;
-  options.default_deadline_s = -1.0;
+  options.stall_timeout_s = -1.0;
+  options.deadline_s = -1.0;
   const Status status = options.validate();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message.find("threads"), std::string::npos);
-  EXPECT_NE(status.message.find("queue_capacity"), std::string::npos);
-  EXPECT_NE(status.message.find("default_deadline_s"), std::string::npos);
-  EXPECT_THROW(Dispatcher{options}, Error);
+  EXPECT_NE(status.message.find("stall_timeout_s"), std::string::npos);
+  EXPECT_NE(status.message.find("deadline_s"), std::string::npos);
+  EXPECT_THROW(run(small_batch(), options), Error);
 }
 
 TEST(DispatcherTest, ResultsComeBackInInputOrder) {
-  Dispatcher dispatcher;
   const std::vector<JobSpec> specs = small_batch();
-  const std::vector<JobResult> results = dispatcher.run(specs);
+  const std::vector<JobResult> results = run(specs);
   ASSERT_EQ(results.size(), specs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].index, static_cast<int>(i));
@@ -62,14 +76,13 @@ TEST(DispatcherTest, ResultsComeBackInInputOrder) {
 
 TEST(DispatcherTest, SerializedResultsIdenticalForEveryThreadCount) {
   const std::vector<JobSpec> specs = small_batch();
-  DispatcherOptions serial;
+  JobdOptions serial;
   serial.threads = 1;
-  std::vector<JobResult> base = Dispatcher(serial).run(specs);
+  std::vector<JobResult> base = run(specs, serial);
   for (const int threads : {2, 4}) {
-    DispatcherOptions options;
+    JobdOptions options;
     options.threads = threads;
-    options.queue_capacity = 2;  // exercise producer backpressure too
-    const std::vector<JobResult> results = Dispatcher(options).run(specs);
+    const std::vector<JobResult> results = run(specs, options);
     ASSERT_EQ(results.size(), base.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i].to_json().dump(), base[i].to_json().dump())
@@ -81,17 +94,17 @@ TEST(DispatcherTest, SerializedResultsIdenticalForEveryThreadCount) {
 TEST(DispatcherTest, InvalidSpecFailsItsJobWithoutSinkingTheBatch) {
   std::vector<JobSpec> specs = small_batch();
   specs[1].chip = "warp_core";
-  Dispatcher dispatcher;
-  const std::vector<JobResult> results = dispatcher.run(specs);
+  ServiceMetrics metrics;
+  const std::vector<JobResult> results = run(specs, {}, &metrics);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].status.ok());
   EXPECT_EQ(results[1].status.outcome, Outcome::kInvalidOptions);
   EXPECT_EQ(results[1].status.stage, "job_spec");
   EXPECT_TRUE(results[2].status.ok());
-  EXPECT_EQ(dispatcher.metrics().jobs_total, 3);
-  EXPECT_EQ(dispatcher.metrics().jobs_ok, 2);
-  EXPECT_EQ(dispatcher.metrics().jobs_failed, 1);
-  EXPECT_EQ(dispatcher.metrics().jobs_stopped, 0);
+  EXPECT_EQ(metrics.jobs_total, 3);
+  EXPECT_EQ(metrics.jobs_ok, 2);
+  EXPECT_EQ(metrics.jobs_failed, 1);
+  EXPECT_EQ(metrics.jobs_stopped, 0);
 }
 
 TEST(DispatcherTest, PerJobDeadlineStopsOnlyThatJob) {
@@ -101,19 +114,19 @@ TEST(DispatcherTest, PerJobDeadlineStopsOnlyThatJob) {
   slow.deadline_s = 0.02;  // far below a real codesign run
   specs.push_back(slow);
   specs.push_back(spec_of(JobKind::kTestgen, "quick", "figure4_chip"));
-  Dispatcher dispatcher;
-  const std::vector<JobResult> results = dispatcher.run(specs);
+  ServiceMetrics metrics;
+  const std::vector<JobResult> results = run(specs, {}, &metrics);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].status.outcome, Outcome::kDeadlineExceeded);
   EXPECT_TRUE(results[1].status.ok()) << results[1].status.to_string();
-  EXPECT_EQ(dispatcher.metrics().jobs_stopped, 1);
-  EXPECT_EQ(dispatcher.metrics().jobs_ok, 1);
+  EXPECT_EQ(metrics.jobs_stopped, 1);
+  EXPECT_EQ(metrics.jobs_ok, 1);
 }
 
 TEST(DispatcherTest, CancelAllCascadesToQueuedAndRunningJobs) {
-  // One genuinely long codesign job followed by queued work; cancel shortly
-  // after the batch starts. The running job unwinds through its RunControl,
-  // the queued jobs never run (stage "queue").
+  // One genuinely long codesign job followed by queued work; stop the batch
+  // control shortly after the batch starts. The running job unwinds through
+  // its RunControl, the queued jobs never run (stage "queue").
   std::vector<JobSpec> specs;
   JobSpec long_job = spec_of(JobKind::kCodesign, "long", "IVD_chip");
   long_job.assay = "IVD";
@@ -122,13 +135,15 @@ TEST(DispatcherTest, CancelAllCascadesToQueuedAndRunningJobs) {
   specs.push_back(spec_of(JobKind::kTestgen, "q1", "figure4_chip"));
   specs.push_back(spec_of(JobKind::kCoverage, "q2", "figure4_chip"));
 
-  DispatcherOptions options;
+  RunControl control;
+  JobdOptions options;
   options.threads = 1;  // serial: the queued jobs are strictly behind
-  Dispatcher dispatcher(options);
+  options.control = &control;
   std::vector<JobResult> results;
-  std::thread runner([&] { results = dispatcher.run(specs); });
+  ServiceMetrics metrics;
+  std::thread runner([&] { results = run(specs, options, &metrics); });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  dispatcher.cancel_all();
+  control.request_cancel();
   runner.join();
 
   ASSERT_EQ(results.size(), 3u);
@@ -137,14 +152,16 @@ TEST(DispatcherTest, CancelAllCascadesToQueuedAndRunningJobs) {
     EXPECT_EQ(results[i].status.outcome, Outcome::kCancelled) << i;
     EXPECT_EQ(results[i].status.stage, "queue") << i;
   }
-  EXPECT_EQ(dispatcher.metrics().jobs_stopped, 3);
-  EXPECT_EQ(dispatcher.metrics().jobs_ok, 0);
+  EXPECT_EQ(metrics.jobs_stopped, 3);
+  EXPECT_EQ(metrics.jobs_ok, 0);
 }
 
 TEST(DispatcherTest, CancelBeforeRunMarksWholeBatchCancelled) {
-  Dispatcher dispatcher;
-  dispatcher.cancel_all();
-  const std::vector<JobResult> results = dispatcher.run(small_batch());
+  RunControl control;
+  control.request_cancel();
+  JobdOptions options;
+  options.control = &control;
+  const std::vector<JobResult> results = run(small_batch(), options);
   ASSERT_EQ(results.size(), 3u);
   for (const JobResult& result : results) {
     EXPECT_EQ(result.status.outcome, Outcome::kCancelled);
@@ -161,11 +178,10 @@ TEST(DispatcherTest, MetricsAggregateQueueWaitAndStats) {
   codesign.config_pool_size = 1;
   specs.push_back(codesign);
   specs.push_back(spec_of(JobKind::kTestgen, "t", "figure4_chip"));
-  Dispatcher dispatcher;
-  const std::vector<JobResult> results = dispatcher.run(specs);
+  ServiceMetrics metrics;
+  const std::vector<JobResult> results = run(specs, {}, &metrics);
   ASSERT_EQ(results.size(), 2u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
-  const ServiceMetrics& metrics = dispatcher.metrics();
   EXPECT_EQ(metrics.jobs_total, 2);
   EXPECT_GT(metrics.wall_seconds, 0.0);
   EXPECT_GE(metrics.queue_wait_seconds_max, 0.0);

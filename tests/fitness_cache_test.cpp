@@ -1,6 +1,6 @@
 // core::FitnessCache semantics: in-memory sharing, the persistent tier's
 // round-trip and corruption rejection, eviction under the byte budget,
-// cross-job sharing through the Dispatcher, and the determinism contract —
+// cross-job sharing within one batch, and the determinism contract —
 // results.jsonl is byte-identical with the cache on, off, or warm.
 #include "core/fitness_cache.hpp"
 
@@ -20,9 +20,7 @@
 
 #include "common/hash.hpp"
 #include "common/run_control.hpp"
-#include "svc/dispatcher.hpp"
 #include "svc/jobd.hpp"
-#include "svc/job_runner.hpp"
 
 namespace mfd::core {
 namespace {
@@ -315,23 +313,20 @@ TEST(FitnessCacheTest, DispatcherBatchSharesAcrossJobs) {
   const std::vector<svc::JobSpec> specs{codesign_spec("a"),
                                         codesign_spec("b")};
 
-  svc::DispatcherOptions plain_options;
-  plain_options.threads = 1;
-  svc::Dispatcher plain(plain_options);
-  const std::vector<svc::JobResult> cold = plain.run(specs);
-  EXPECT_EQ(plain.metrics().cache_shared_hits, 0);
-  EXPECT_EQ(plain.metrics().stats.shared_hits, 0);
+  const std::vector<int> slots{0, 1};
+  std::vector<svc::JobResult> cold(specs.size());
+  const svc::ServiceMetrics plain = svc::run_batch(specs, slots, cold);
+  EXPECT_EQ(plain.cache_shared_hits, 0);
+  EXPECT_EQ(plain.stats.shared_hits, 0);
 
   FitnessCache cache;
-  svc::DispatcherOptions shared_options;
-  shared_options.threads = 1;
-  shared_options.cache = &cache;
-  svc::Dispatcher shared(shared_options);
-  const std::vector<svc::JobResult> warm = shared.run(specs);
+  std::vector<svc::JobResult> warm(specs.size());
+  const svc::ServiceMetrics shared =
+      svc::run_batch(specs, slots, warm, {}, &cache);
 
-  EXPECT_GT(shared.metrics().cache_shared_hits, 0);
-  EXPECT_GT(shared.metrics().stats.shared_hits, 0);
-  EXPECT_GT(shared.metrics().cache_entries, 0);
+  EXPECT_GT(shared.cache_shared_hits, 0);
+  EXPECT_GT(shared.stats.shared_hits, 0);
+  EXPECT_GT(shared.cache_entries, 0);
 
   // Identical serialized results: the cache changes wall time, not values.
   ASSERT_EQ(cold.size(), warm.size());

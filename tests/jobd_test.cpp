@@ -58,7 +58,6 @@ TEST(JobdTest, NineJobFileIsByteIdenticalAcrossThreadCounts) {
 
   JobdOptions wide;
   wide.threads = 8;
-  wide.queue_capacity = 3;  // smaller than the batch: backpressure engages
   std::istringstream in8(input);
   std::ostringstream out8;
   const JobdReport report8 = run_jobd(in8, out8, wide);

@@ -130,6 +130,26 @@ TEST(JsonTest, AccessorsCheckTypes) {
   EXPECT_EQ(Json::object().get("missing"), nullptr);
 }
 
+TEST(JsonTest, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_EQ(Json::parse(nested(256)).dump(), nested(256));
+  try {
+    (void)Json::parse(nested(257));
+    FAIL() << "257 levels parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("line 1:257"), std::string::npos)
+        << e.what();
+  }
+  // Far past the stack's reach: a clean throw, not a crash.
+  EXPECT_THROW((void)Json::parse(std::string(100000, '[')), Error);
+  EXPECT_THROW((void)Json::parse(std::string(100000, '{')), Error);
+}
+
 TEST(JsonTest, IntOverflowFallsBackToDouble) {
   const Json parsed = Json::parse("123456789012345678901234567890");
   ASSERT_TRUE(parsed.is_double());

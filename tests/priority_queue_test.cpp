@@ -1,7 +1,7 @@
 // PriorityQueue: strict class order, FIFO within a class, aging-based
 // starvation protection, try_push shedding, close-and-drain, and the
-// close()/push() races under TSan — the queue discipline behind both the
-// Dispatcher and the networked JobDaemon.
+// close()/push() races under TSan — the queue discipline of the job
+// execution core behind batches and the networked JobDaemon.
 #include "svc/priority_queue.hpp"
 
 #include <gtest/gtest.h>

@@ -58,6 +58,22 @@ TEST(RunControlTest, StopObservedOnlyAfterCheck) {
   EXPECT_EQ(control.stop_observed(), StopReason::kDeadlineExceeded);
 }
 
+TEST(RunControlTest, ParentStopReachesLinkedChild) {
+  RunControl parent;
+  RunControl child;
+  child.set_parent(&parent);
+  EXPECT_EQ(child.check(), StopReason::kNone);
+  parent.request_cancel();
+  EXPECT_EQ(child.check(), StopReason::kCancelled);
+  EXPECT_FALSE(child.cancel_requested());  // the child's own token is untouched
+
+  RunControl expired;
+  expired.set_timeout(-1.0);
+  RunControl linked;
+  linked.set_parent(&expired);
+  EXPECT_EQ(linked.check(), StopReason::kDeadlineExceeded);
+}
+
 TEST(RunControlTest, ProgressCallbackDeliveredAtReports) {
   RunControl control;
   std::vector<RunProgress> seen;
