@@ -68,10 +68,13 @@ TEST_P(PipelineTest, AugmentedChipSerializationRoundTrip) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperChips, PipelineTest,
-                         ::testing::Values(&arch::make_ivd_chip,
-                                           &arch::make_ra30_chip,
-                                           &arch::make_mrna_chip));
+INSTANTIATE_TEST_SUITE_P(
+    PaperChips, PipelineTest,
+    ::testing::Values(&arch::make_ivd_chip, &arch::make_ra30_chip,
+                      &arch::make_mrna_chip),
+    [](const ::testing::TestParamInfo<arch::Biochip (*)()>& info) {
+      return info.param().name();
+    });
 
 // The headline end-to-end claim of the paper on the smallest combination:
 // after codesign, the chip is single-source single-meter testable with no

@@ -103,11 +103,13 @@ TEST_P(LeakageCoverageTest, StuckAtSuiteCoversLeakage) {
                                     : to_string(report.undetected.front()));
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperChips, LeakageCoverageTest,
-                         ::testing::Values(&arch::make_figure4_chip,
-                                           &arch::make_ivd_chip,
-                                           &arch::make_ra30_chip,
-                                           &arch::make_mrna_chip));
+INSTANTIATE_TEST_SUITE_P(
+    PaperChips, LeakageCoverageTest,
+    ::testing::Values(&arch::make_figure4_chip, &arch::make_ivd_chip,
+                      &arch::make_ra30_chip, &arch::make_mrna_chip),
+    [](const ::testing::TestParamInfo<arch::Biochip (*)()>& info) {
+      return info.param().name();
+    });
 
 TEST(LeakageTest, SingleMeterDftSuiteAlsoCoversLeakage) {
   const arch::Biochip chip = arch::make_ivd_chip();

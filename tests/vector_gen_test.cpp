@@ -36,11 +36,13 @@ TEST_P(MultiportSuiteTest, FullCoverageOnOriginalChip) {
   check_suite(chip, *suite);
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperChips, MultiportSuiteTest,
-                         ::testing::Values(&arch::make_figure4_chip,
-                                           &arch::make_ivd_chip,
-                                           &arch::make_ra30_chip,
-                                           &arch::make_mrna_chip));
+INSTANTIATE_TEST_SUITE_P(
+    PaperChips, MultiportSuiteTest,
+    ::testing::Values(&arch::make_figure4_chip, &arch::make_ivd_chip,
+                      &arch::make_ra30_chip, &arch::make_mrna_chip),
+    [](const ::testing::TestParamInfo<Biochip (*)()>& info) {
+      return info.param().name();
+    });
 
 TEST(SingleMeterSuiteTest, AugmentedChipWithDedicatedControls) {
   const Biochip chip = arch::make_ivd_chip();
