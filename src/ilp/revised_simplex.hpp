@@ -16,13 +16,21 @@
 // row whose bounds encode the sense (<=: s in [0,inf); =: s = 0;
 // >=: s in (-inf,0]). Columns are [structural | slacks]; the structural part
 // lives in a SparseColumns (per-column nonzero lists), slack columns are
-// implicit unit vectors. The basis inverse is dense (m x m) with
-// product-form pivot updates and periodic refactorization — robust and
-// fast for the few-hundred-row models the DFT formulation produces; the
-// sparsity win is in pricing and FTRAN, which walk column nonzero lists
-// instead of dense rows.
+// implicit unit vectors. The basis inverse B^-1 is an m x m array with a
+// nonzero bitset per row, rebuilt by Gauss-Jordan elimination over row and
+// column nonzero sets of the basis matrix and updated in product form
+// between periodic refactorizations. The DFT formulation's basis matrices
+// hold about two nonzeros per row and B^-1 stays a few percent dense, so
+// refactorization, the pivot update, x_B and the duals visit only the
+// entries those sets cover; pricing and FTRAN walk column nonzero lists.
+// Each kernel does exactly the floating-point operations of a dense sweep,
+// in the same order, so results do not depend on the sparsity bookkeeping.
+// The working arrays, and a few recent factorizations that sibling
+// branch-and-bound nodes reuse, belong to the engine and last across its
+// solves.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "ilp/simplex.hpp"
@@ -30,11 +38,16 @@
 
 namespace mfd::ilp {
 
+class RevisedSolve;
+
 class LpEngine {
  public:
   /// Builds the sparse representation of `model`. The model reference is
   /// not retained; later cuts are added through add_constraint().
   explicit LpEngine(const Model& model, const LpOptions& options = {});
+  ~LpEngine();
+  LpEngine(LpEngine&&) noexcept;
+  LpEngine& operator=(LpEngine&&) noexcept;
 
   [[nodiscard]] int structural_count() const { return structural_; }
   [[nodiscard]] int row_count() const { return rows_; }
@@ -76,6 +89,9 @@ class LpEngine {
   double objective_constant_ = 0.0;
   double orientation_ = 1.0;        // +1 minimize, -1 maximize
   SolveStats stats_;
+  // Working arrays of the simplex (basis inverse, factorization, per-
+  // iteration vectors), sized on first use and kept for later solves.
+  std::unique_ptr<RevisedSolve> solver_;
 };
 
 }  // namespace mfd::ilp

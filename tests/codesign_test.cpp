@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "arch/chips.hpp"
 #include "core/codesign.hpp"
@@ -70,6 +74,53 @@ TEST(EnumerateConfigsTest, FirstEntryIsMinimal) {
   ASSERT_GE(pool.size(), 1u);
   for (std::size_t i = 1; i < pool.size(); ++i) {
     EXPECT_GE(pool[i].added_edges.size(), pool[0].added_edges.size());
+  }
+}
+
+// The pools table1 enumerates on the paper chips (pool sizes 3, 3 and 1,
+// default plan options). Round-off in the LP engine can decide which of
+// several equal-cost configurations the search finds, so any change to the
+// engine's arithmetic shows up here as a different edge set or path.
+TEST(EnumerateConfigsTest, PaperChipPoolsArePinned) {
+  using Edges = std::vector<graph::EdgeId>;
+  struct Config {
+    Edges added;
+    std::vector<Edges> paths;
+  };
+  const std::map<std::string, std::pair<int, std::vector<Config>>> pinned = {
+      {"IVD_chip",
+       {3,
+        {{{14, 15, 25, 30},
+          {{4, 22, 9, 23, 6, 7},
+           {21, 8, 22, 5, 6, 24, 10, 28, 14, 15, 30, 25}}},
+         {{2, 3, 14, 18, 20, 29},
+          {{4, 22, 9, 10, 24, 6, 18, 2, 3, 20},
+           {21, 8, 22, 5, 23, 28, 14, 29, 24, 7}}}}}},
+      {"RA30_chip",
+       {3,
+        {{{15, 16, 26, 32},
+          {{5, 6, 28, 12, 29, 8, 9},
+           {26, 32, 15, 16, 34, 11, 27, 21, 1, 22, 7, 29, 13, 30, 9}}},
+         {{0, 2, 17, 20, 23, 35},
+          {{5, 21, 1, 2, 23, 7, 28, 12, 13, 30, 9},
+           {20, 0, 1, 22, 6, 27, 11, 34, 17, 35, 29, 8, 9}}}}}},
+      {"mRNA_chip",
+       {1,
+        {{{3, 23, 26, 34, 50, 53},
+          {{12, 38, 7, 8, 9, 10, 42, 16, 15, 14, 46, 20, 21, 22, 23, 50},
+           {37, 6, 7, 39, 13, 45, 19, 53, 26, 54, 47, 40, 33, 3, 34, 41, 48,
+            22, 49, 17}}}}}}};
+  for (const Biochip& chip : arch::make_paper_chips()) {
+    SCOPED_TRACE(chip.name());
+    const auto& [pool_size, expected] = pinned.at(chip.name());
+    const auto pool = enumerate_dft_configurations(chip, pool_size);
+    ASSERT_EQ(pool.size(), expected.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      EXPECT_TRUE(pool[i].feasible);
+      EXPECT_EQ(pool[i].paths_used, 2);
+      EXPECT_EQ(pool[i].added_edges, expected[i].added) << "config " << i;
+      EXPECT_EQ(pool[i].paths, expected[i].paths) << "config " << i;
+    }
   }
 }
 
