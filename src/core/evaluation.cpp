@@ -9,8 +9,8 @@ namespace {
 
 /// Everything shared by every configuration of one evaluator: the assay
 /// structure and the option fields that influence schedule or test-suite
-/// results. Trace/control members are excluded on purpose — they affect
-/// logging and truncation (never cached), not values.
+/// results. The control member is excluded on purpose — it affects
+/// truncation (never cached), not values.
 ContentHasher base_hasher(const sched::Assay& assay,
                           const sched::ScheduleOptions& sched,
                           const testgen::VectorGenOptions& vectors) {

@@ -4,8 +4,8 @@
 // in each basis row and where every nonbasic column rests — so a later solve
 // of a *compatible* model (same structural columns, possibly more rows from
 // lazy cuts) can resume from it instead of starting phase 1 from scratch.
-// Branch-and-bound nodes snapshot their parent's basis, and the path-ILP
-// layer carries a basis across its lexicographic re-solves.
+// Branch-and-bound nodes snapshot their parent's basis, and a node re-solved
+// after lazy cuts resumes from its own.
 #pragma once
 
 #include <cstdint>

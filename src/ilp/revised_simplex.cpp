@@ -11,6 +11,9 @@ namespace mfd::ilp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Feasibility and optimality tolerance of the pricing, the ratio test and
+// presolve.
+constexpr double kTol = 1e-7;
 
 // Nonzero sets are bitsets: one bit per row or column index, 64 per word.
 using Word = std::uint64_t;
@@ -75,7 +78,6 @@ class RevisedSolve {
     n_ = engine.structural_;
     m_ = engine.rows_;
     cols_ = n_ + m_;
-    tol_ = engine.options_.tol;
     lay_out_square_arrays();
     build_bounds(lower_override, upper_override);
 
@@ -171,8 +173,8 @@ class RevisedSolve {
     for (int j = 0; j < n_; ++j) {
       const double l = lower_[static_cast<std::size_t>(j)];
       const double u = upper_[static_cast<std::size_t>(j)];
-      if (l > u + tol_) return false;
-      if (u - l <= tol_) ++stats.presolve_fixed_columns;
+      if (l > u + kTol) return false;
+      if (u - l <= kTol) ++stats.presolve_fixed_columns;
     }
 
     // Structural entry count per row (for empty/singleton classification)
@@ -206,14 +208,14 @@ class RevisedSolve {
       const double need_hi = b - e_->slack_lower_[si];
       if (row_entries_[si] == 0) {
         // Empty constraint row: satisfied by the slack alone or infeasible.
-        if (need_lo > tol_ || need_hi < -tol_) return false;
+        if (need_lo > kTol || need_hi < -kTol) return false;
         ++stats.presolve_redundant_rows;
         continue;
       }
-      if (act_min_[si] > need_hi + tol_ || act_max_[si] < need_lo - tol_) {
+      if (act_min_[si] > need_hi + kTol || act_max_[si] < need_lo - kTol) {
         return false;  // activity bounds prove the row unsatisfiable
       }
-      if (act_min_[si] >= need_lo - tol_ && act_max_[si] <= need_hi + tol_) {
+      if (act_min_[si] >= need_lo - kTol && act_max_[si] <= need_hi + kTol) {
         ++stats.presolve_redundant_rows;
       }
       if (row_entries_[si] == 1) {
@@ -226,16 +228,16 @@ class RevisedSolve {
         double& l = lower_[static_cast<std::size_t>(j)];
         double& u = upper_[static_cast<std::size_t>(j)];
         bool tightened = false;
-        if (implied_lo > l + tol_) {
+        if (implied_lo > l + kTol) {
           l = implied_lo;
           tightened = true;
         }
-        if (implied_hi < u - tol_) {
+        if (implied_hi < u - kTol) {
           u = implied_hi;
           tightened = true;
         }
         if (tightened) ++stats.presolve_bound_tightenings;
-        if (l > u + tol_) return false;
+        if (l > u + kTol) return false;
       }
     }
     return true;
@@ -575,10 +577,10 @@ class RevisedSolve {
       const double value = beta_[si];
       const double l = lower_[static_cast<std::size_t>(col)];
       const double u = upper_[static_cast<std::size_t>(col)];
-      if (value < l - tol_) {
+      if (value < l - kTol) {
         phase1_grad_[si] = -1.0;
         total += l - value;
-      } else if (value > u + tol_) {
+      } else if (value > u + kTol) {
         phase1_grad_[si] = 1.0;
         total += value - u;
       }
@@ -647,10 +649,7 @@ class RevisedSolve {
   // ---- the simplex loop ------------------------------------------------
 
   LpStatus optimize(int& iterations_out) {
-    const int iteration_limit =
-        e_->options_.max_iterations > 0
-            ? e_->options_.max_iterations
-            : 200 * (m_ + cols_) + 2000;
+    const int iteration_limit = 200 * (m_ + cols_) + 2000;
     const int bland_threshold = 10 * (m_ + cols_) + 200;
     int stall = 0;
     bool repaired = false;
@@ -666,7 +665,7 @@ class RevisedSolve {
 
       compute_beta();
       const double infeasibility = basic_infeasibility();
-      const bool repair_phase = infeasibility > tol_;
+      const bool repair_phase = infeasibility > kTol;
       if (repair_phase && !repaired) {
         repaired = true;
         ++e_->stats_.repair_phases;
@@ -676,26 +675,26 @@ class RevisedSolve {
       const bool use_bland = stall > bland_threshold;
       int entering = -1;
       int direction = 0;  // +1 rises from lower, -1 falls from upper
-      double best_score = tol_;
+      double best_score = kTol;
       for (int j = 0; j < cols_; ++j) {
         const std::size_t sj = static_cast<std::size_t>(j);
         if (status_[sj] == VarStatus::kBasic) continue;
         const double l = lower_[sj];
         const double u = upper_[sj];
-        if (u - l <= tol_) continue;  // fixed: never enters
+        if (u - l <= kTol) continue;  // fixed: never enters
         const double d = reduced_cost(j, repair_phase);
         double score = 0.0;
         int dir = 0;
         const bool free_column = l <= -kInf && u >= kInf;
         if (status_[sj] == VarStatus::kAtLower || free_column) {
-          if (d < -tol_) {
+          if (d < -kTol) {
             score = -d;
             dir = 1;
-          } else if (free_column && d > tol_) {
+          } else if (free_column && d > kTol) {
             score = d;
             dir = -1;
           }
-        } else if (status_[sj] == VarStatus::kAtUpper && d > tol_) {
+        } else if (status_[sj] == VarStatus::kAtUpper && d > kTol) {
           score = d;
           dir = -1;
         }
@@ -734,20 +733,20 @@ class RevisedSolve {
         const std::size_t si = static_cast<std::size_t>(i);
         const double g =
             -static_cast<double>(direction) * alpha_[si];
-        if (std::abs(g) <= tol_) continue;
+        if (std::abs(g) <= kTol) continue;
         const int col = basic_[si];
         const double value = beta_[si];
         const double l = lower_[static_cast<std::size_t>(col)];
         const double u = upper_[static_cast<std::size_t>(col)];
         double limit = kInf;
         bool at_upper = false;
-        if (value < l - tol_) {
+        if (value < l - kTol) {
           // Infeasible below: blocks only while rising towards l.
           if (g > 0.0) {
             limit = (l - value) / g;
             at_upper = false;
           }
-        } else if (value > u + tol_) {
+        } else if (value > u + kTol) {
           if (g < 0.0) {
             limit = (value - u) / (-g);
             at_upper = true;
@@ -760,8 +759,8 @@ class RevisedSolve {
           at_upper = true;
         }
         if (limit >= kInf) continue;
-        if (limit < max_step - tol_ ||
-            (limit < max_step + tol_ && leaving_row == -1)) {
+        if (limit < max_step - kTol ||
+            (limit < max_step + kTol && leaving_row == -1)) {
           max_step = std::max(limit, 0.0);
           leaving_row = i;
           leaving_at_upper = at_upper;
@@ -777,7 +776,7 @@ class RevisedSolve {
                             : LpStatus::kUnbounded;
       }
 
-      if (best_score * max_step > tol_) {
+      if (best_score * max_step > kTol) {
         stall = 0;
       } else {
         ++stall;
@@ -848,7 +847,6 @@ class RevisedSolve {
   int n_ = 0;
   int m_ = 0;
   int cols_ = 0;
-  double tol_ = 1e-7;
 
   std::vector<double> lower_;
   std::vector<double> upper_;
@@ -952,6 +950,14 @@ LpResult LpEngine::solve(const std::vector<double>& lower,
               "LpEngine::solve(): upper override size mismatch");
   if (!solver_) solver_ = std::make_unique<RevisedSolve>();
   return solver_->run(*this, lower, upper, warm);
+}
+
+LpResult solve_lp(const Model& model, const std::vector<double>& lower,
+                  const std::vector<double>& upper, const LpOptions& options) {
+  LpEngine engine(model, options);
+  LpResult result = engine.solve(lower, upper);
+  if (options.stats != nullptr) *options.stats += engine.stats();
+  return result;
 }
 
 }  // namespace mfd::ilp

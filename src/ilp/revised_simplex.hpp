@@ -2,15 +2,14 @@
 //
 // An LpEngine is built once from a Model and then *mutated* between solves —
 // appending lazy-cut rows, adjusting bounds per solve — so the iterative
-// searches above it (branch-and-bound nodes, loop-elimination rounds, the
-// path-ILP's lexicographic stages) re-solve nearly identical LPs without
-// rebuilding anything. Each solve may resume from a prior Basis: the engine
-// refactorizes the basis inverse from the sparse basis columns, repairs any
-// bound violations the new cuts/bounds introduced with a composite phase-1
-// (primal simplex on the sum of infeasibilities — the "bounded primal with
-// a repair phase" alternative to dual simplex), then finishes with the
-// ordinary bounded primal. A cold solve is the same loop started from the
-// all-slack basis.
+// searches above it (branch-and-bound nodes and their lazy-cut re-solves)
+// re-solve nearly identical LPs without rebuilding anything. Each solve may
+// resume from a prior Basis: the engine refactorizes the basis inverse from
+// the sparse basis columns, repairs any bound violations the new
+// cuts/bounds introduced with a composite phase-1 (primal simplex on the sum
+// of infeasibilities — the "bounded primal with a repair phase" alternative
+// to dual simplex), then finishes with the ordinary bounded primal. A cold
+// solve is the same loop started from the all-slack basis.
 //
 // Representation: every row is an equality a·x + s = b with one slack s per
 // row whose bounds encode the sense (<=: s in [0,inf); =: s = 0;
@@ -58,11 +57,6 @@ class LpEngine {
   /// append remain usable: solve() extends them with the new row's slack.
   void add_constraint(const Constraint& constraint);
 
-  /// Replaces the objective (used by the path ILP's lexicographic second
-  /// stage). The expression must reference existing variables; `minimize`
-  /// matches Model::set_objective semantics.
-  void set_objective(const LinearExpr& objective, bool minimize);
-
   /// Solves with the given bound overrides (empty = the model's bounds; one
   /// entry per structural variable otherwise) resuming from `warm` when
   /// non-null. The result's basis field holds the final basis on kOptimal.
@@ -75,6 +69,10 @@ class LpEngine {
 
  private:
   friend class RevisedSolve;
+
+  /// Installs the model's objective; `minimize` matches
+  /// Model::set_objective semantics.
+  void set_objective(const LinearExpr& objective, bool minimize);
 
   LpOptions options_;
   int structural_ = 0;
@@ -93,5 +91,12 @@ class LpEngine {
   // iteration vectors), sized on first use and kept for later solves.
   std::unique_ptr<RevisedSolve> solver_;
 };
+
+/// Solves the continuous relaxation of `model` on a fresh LpEngine. When
+/// `lower`/`upper` are non-empty they override the model's variable bounds;
+/// they must then have one entry per variable.
+LpResult solve_lp(const Model& model, const std::vector<double>& lower = {},
+                  const std::vector<double>& upper = {},
+                  const LpOptions& options = {});
 
 }  // namespace mfd::ilp

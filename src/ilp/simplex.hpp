@@ -1,18 +1,6 @@
-// LP solving: sparse revised simplex with bounded variables (default) and
-// the retained dense two-phase simplex (differential oracle).
-//
-// The default engine (revised_simplex.cpp) keeps the constraint matrix in
-// column-major sparse form, prices and FTRANs against sparse columns, and
-// maintains a dense basis inverse with periodic refactorization. It accepts
-// a warm-start Basis so branch-and-bound nodes and lazy-cut re-solves resume
-// from their parent's basis through a bounded-primal feasibility-repair
-// phase instead of running phase 1 from scratch.
-//
-// The original dense two-phase simplex (simplex.cpp) is kept behind
-// LpOptions::use_dense as a differential oracle: same semantics, no warm
-// starts, every solve from scratch. Variables may carry finite lower/upper
-// bounds in both engines (the common case here: 0-1 relaxations), so no
-// extra rows are spent on bound constraints.
+// LP result and option types of the LP engine (revised_simplex.hpp: a
+// sparse revised simplex with bounded variables and warm starts), shared
+// with the branch-and-bound solver (solver.hpp).
 #pragma once
 
 #include <vector>
@@ -32,45 +20,18 @@ struct LpResult {
   /// One value per model variable (structural variables only).
   std::vector<double> values;
   int iterations = 0;
-  /// Final basis (kOptimal solves on the revised engine only; empty
-  /// otherwise). Feed it back through LpOptions::warm_start — or
-  /// LpEngine::solve() — to resume a later compatible solve from here.
+  /// Final basis (kOptimal solves only; empty otherwise). Pass it to a
+  /// later LpEngine::solve() to resume a compatible solve from here.
   Basis basis;
 };
 
 struct LpOptions {
-  double tol = 1e-7;
-  /// 0 = automatic (scales with problem size).
-  int max_iterations = 0;
   /// Optional cooperative deadline/cancellation, polled every 64 pivots; a
   /// stop surfaces as kIterationLimit. Borrowed, may be null.
   const RunControl* control = nullptr;
-  /// Optional basis to resume from (revised engine only; ignored by the
-  /// dense oracle). Borrowed, may be null. A stale or singular basis is
-  /// detected and the solve falls back to a cold start.
-  const Basis* warm_start = nullptr;
-  /// Route the solve through the retained dense two-phase simplex instead
-  /// of the revised engine. Used as a differential oracle by the tests and
-  /// exposed end-to-end via SolverOptions / PathPlanOptions.
-  bool use_dense = false;
   /// Optional accumulator for engine statistics (pivots, refactorizations,
   /// warm-start and presolve counters). Borrowed, may be null.
   SolveStats* stats = nullptr;
 };
-
-/// Solves the continuous relaxation of `model`. When `lower`/`upper` are
-/// non-empty they override the model's variable bounds (used by
-/// branch-and-bound to impose branching decisions); they must then have one
-/// entry per variable. Dispatches to the revised engine unless
-/// options.use_dense is set.
-LpResult solve_lp(const Model& model, const std::vector<double>& lower = {},
-                  const std::vector<double>& upper = {},
-                  const LpOptions& options = {});
-
-/// The retained dense two-phase simplex, callable directly as an oracle.
-LpResult solve_lp_dense(const Model& model,
-                        const std::vector<double>& lower = {},
-                        const std::vector<double>& upper = {},
-                        const LpOptions& options = {});
 
 }  // namespace mfd::ilp

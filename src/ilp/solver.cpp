@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <utility>
 
@@ -17,6 +16,8 @@ namespace mfd::ilp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// An integer variable within this distance of an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
 
 struct Node {
   std::vector<double> lower;
@@ -73,23 +74,10 @@ void round_integers(const Model& model, std::vector<double>& values) {
 
 Solution solve_ilp(const Model& model, const SolverOptions& options,
                    const LazyConstraintCallback& lazy) {
-  const bool use_dense = options.lp.use_dense;
-
-  // Propagate the run control into the LP so long simplex runs also stop.
-  SolverOptions limits = options;
-  limits.lp.control = options.control;
-  limits.lp.warm_start = nullptr;  // per-node bases are passed explicitly
-
-  // Build phase: the dense oracle re-reads a Model every solve, so it needs
-  // a mutable copy for lazy cuts; the revised engine is built once and
-  // mutated in place. Neither counts towards runtime_seconds.
-  std::optional<Model> work;
-  std::optional<LpEngine> engine;
-  if (use_dense) {
-    work.emplace(model);
-  } else {
-    engine.emplace(model, limits.lp);
-  }
+  // The engine is built once and mutated in place by lazy cuts; building it
+  // does not count towards runtime_seconds. The run control reaches the
+  // simplex iterations too, so long LP solves also stop.
+  LpEngine engine(model, LpOptions{.control = options.control});
 
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&] {
@@ -104,10 +92,7 @@ Solution solve_ilp(const Model& model, const SolverOptions& options,
   auto finish = [&](SolveStatus status) -> Solution& {
     result.status = status;
     result.runtime_seconds = elapsed();
-    if (engine.has_value()) {
-      result.stats = engine->stats();
-      if (options.lp.stats != nullptr) *options.lp.stats += engine->stats();
-    }
+    result.stats = engine.stats();
     if (Tracer* tracer = tracer_of(options.control)) {
       trace_counter(tracer, "ilp.nodes", result.nodes_explored);
       trace_counter(tracer, "ilp.lazy_cuts", result.lazy_constraints_added);
@@ -130,21 +115,6 @@ Solution solve_ilp(const Model& model, const SolverOptions& options,
     return result;
   };
 
-  auto relax = [&](const std::vector<double>& lower,
-                   const std::vector<double>& upper,
-                   const Basis* warm) -> LpResult {
-    if (use_dense) return solve_lp_dense(*work, lower, upper, limits.lp);
-    return engine->solve(lower, upper, warm);
-  };
-
-  auto add_cut = [&](Constraint cut) {
-    if (use_dense) {
-      work->add_constraint(std::move(cut.expr), cut.sense, cut.rhs);
-    } else {
-      engine->add_constraint(cut);
-    }
-  };
-
   if (stop_requested(options.control)) return finish(SolveStatus::kStopped);
 
   std::vector<double> root_lower(
@@ -160,8 +130,7 @@ Solution solve_ilp(const Model& model, const SolverOptions& options,
 
   // Solve the root relaxation first to classify infeasible/unbounded models.
   {
-    const LpResult root =
-        relax(root_lower, root_upper, options.warm_start);
+    const LpResult root = engine.solve(root_lower, root_upper);
     ++result.nodes_explored;
     if (stop_requested(options.control)) return finish(SolveStatus::kStopped);
     if (root.status == LpStatus::kInfeasible ||
@@ -195,14 +164,14 @@ Solution solve_ilp(const Model& model, const SolverOptions& options,
     open.pop();
     if (node.bound >= incumbent_key - options.absolute_gap) continue;
 
-    const LpResult lp = relax(node.lower, node.upper, node.warm.get());
+    const LpResult lp = engine.solve(node.lower, node.upper, node.warm.get());
     ++result.nodes_explored;
     if (lp.status != LpStatus::kOptimal) continue;  // infeasible subtree
     const double key = orient * lp.objective;
     if (key >= incumbent_key - options.absolute_gap) continue;
 
     const int branch_var =
-        fractional_variable(model, lp.values, options.integrality_tol);
+        fractional_variable(model, lp.values, kIntegralityTol);
     if (branch_var == -1) {
       // Integral candidate. Give the lazy callback a chance to reject it.
       std::vector<double> candidate = lp.values;
@@ -210,8 +179,8 @@ Solution solve_ilp(const Model& model, const SolverOptions& options,
       if (lazy) {
         std::vector<Constraint> cuts = lazy(candidate);
         if (!cuts.empty()) {
-          for (Constraint& cut : cuts) {
-            add_cut(std::move(cut));
+          for (const Constraint& cut : cuts) {
+            engine.add_constraint(cut);
             ++result.lazy_constraints_added;
           }
           // Re-solve the same node against the strengthened model; the
@@ -227,7 +196,6 @@ Solution solve_ilp(const Model& model, const SolverOptions& options,
       incumbent_key = key;
       result.values = std::move(candidate);
       result.objective = lp.objective;
-      result.basis = lp.basis;
       continue;
     }
 

@@ -35,12 +35,8 @@ struct Solution {
   /// Wall time inside the search (monotonic clock), excluding model copy
   /// and engine construction.
   double runtime_seconds = 0.0;
-  /// Engine counters accumulated over every LP solved by this call (revised
-  /// engine only; stays zero under SolverOptions::lp.use_dense).
+  /// Engine counters accumulated over every LP solved by this call.
   SolveStats stats;
-  /// LP basis of the accepted incumbent (revised engine only). Feed it into
-  /// a later related solve via SolverOptions::warm_start.
-  Basis basis;
 
   [[nodiscard]] bool has_solution() const { return !values.empty(); }
 
@@ -56,21 +52,15 @@ struct Solution {
 struct SolverOptions {
   double time_limit_seconds = 120.0;
   int max_nodes = 200000;
-  double integrality_tol = 1e-6;
   /// Nodes whose LP bound is within this absolute distance of the incumbent
   /// are pruned. Raising it above 0 turns the solver into an approximate one
   /// that still guarantees an incumbent within the gap of the optimum —
   /// useful when objectives are near-integral and proving the last fraction
   /// of optimality dominates runtime.
   double absolute_gap = 1e-9;
-  LpOptions lp;
   /// Optional cooperative deadline/cancellation, polled at every node (and
   /// propagated into the simplex iterations). Borrowed, may be null.
   const RunControl* control = nullptr;
-  /// Optional basis seeding the root relaxation (revised engine only) —
-  /// typically Solution::basis from a previous solve of a related model.
-  /// Borrowed, may be null.
-  const Basis* warm_start = nullptr;
 };
 
 /// Called with an integral candidate assignment; returns constraints violated

@@ -130,17 +130,4 @@ PsoResult minimize(int dimensions, const BatchObjective& objective,
   return result;
 }
 
-PsoResult minimize(int dimensions, const Objective& objective,
-                   const PsoOptions& options,
-                   const std::vector<std::vector<double>>& seed_positions) {
-  const BatchObjective batch =
-      [&objective](std::span<const std::vector<double>> positions,
-                   std::span<double> values) {
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-          values[i] = objective(positions[i]);
-        }
-      };
-  return minimize(dimensions, batch, options, seed_positions);
-}
-
 }  // namespace mfd::pso

@@ -58,8 +58,6 @@ struct PsoResult {
   bool stopped_early = false;
 };
 
-using Objective = std::function<double(const std::vector<double>&)>;
-
 /// Evaluates a whole swarm at once: writes values[i] = f(positions[i]) for
 /// every i. positions.size() == values.size() is guaranteed. The order in
 /// which a batch objective computes its entries is unobservable to the
@@ -76,12 +74,6 @@ using BatchObjective = std::function<void(
 /// valve-sharing vector, so sharing quality improves across outer iterations
 /// as in the paper's step (2).
 PsoResult minimize(int dimensions, const BatchObjective& objective,
-                   const PsoOptions& options = {},
-                   const std::vector<std::vector<double>>& seed_positions = {});
-
-/// Scalar-objective convenience overload: wraps the objective into a batch
-/// that evaluates sequentially. Identical results to the batch overload.
-PsoResult minimize(int dimensions, const Objective& objective,
                    const PsoOptions& options = {},
                    const std::vector<std::vector<double>>& seed_positions = {});
 

@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <set>
@@ -147,18 +146,7 @@ class Engine {
       if (stop_requested(options_.control)) return fail();
       dispatch_until_stable();
       if (all_done()) break;
-      if (events_.empty()) {
-        if (options_.trace) {
-          std::fprintf(stderr, "[sched] deadlock at t=%.1f\n", now_);
-          for (OpId o = 0; o < assay_.operation_count(); ++o) {
-            std::fprintf(stderr, "  op %d (%s) state=%d\n", o,
-                         assay_.operation(o).name.c_str(),
-                         static_cast<int>(
-                             ops_[static_cast<std::size_t>(o)].state));
-          }
-        }
-        return fail();  // deadlock: nothing in flight
-      }
+      if (events_.empty()) return fail();  // deadlock: nothing in flight
       advance_to_next_event();
       if (now_ > options_.time_limit) return fail();
     }
@@ -559,10 +547,6 @@ class Engine {
   // Tries to bind op o to device d: plans every input transport under the
   // current occupancy and sharing scheme, then commits atomically.
   bool try_bind(OpId o, arch::DeviceId d) {
-    if (options_.trace) {
-      std::fprintf(stderr, "[sched] t=%.1f try_bind op=%d dev=%d\n", now_, o,
-                   d);
-    }
     if (device_exposed(d, o)) return false;
     const graph::NodeId target = chip_.device(d).node;
     std::vector<PlannedMove> moves;

@@ -46,8 +46,6 @@ struct ScheduleOptions {
   double time_limit = 1e6;
   /// Seed for route randomization.
   std::uint64_t seed = 7;
-  /// Prints dispatch decisions to stderr (debugging aid).
-  bool trace = false;
   /// Optional cooperative deadline/cancellation, polled once per event-loop
   /// round; a stop makes the schedule come back infeasible. Borrowed.
   const RunControl* control = nullptr;

@@ -264,7 +264,7 @@ struct JobDaemon::Impl {
       int fd = -1;
       std::string error;
       while ((fds[0].revents & POLLIN) != 0 &&
-             listener->accept(0.0, &fd, &error) ==
+             listener->accept(&fd, &error) ==
                  net::Listener::AcceptStatus::kAccepted) {
         peers.emplace_back().conn = net::FramedConnection(fd);
         peers.back().conn.set_nonblocking(true);

@@ -1,6 +1,7 @@
 #include "testgen/minimize.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "ilp/solver.hpp"
 #include "sim/batch_fault.hpp"
@@ -8,6 +9,9 @@
 namespace mfd::testgen {
 
 namespace {
+
+// Wall-clock limit of the exact set-cover ILP.
+constexpr double kIlpTimeLimitSeconds = 20.0;
 
 // detection[v][f] = vector v detects fault f. One batch load per vector
 // classifies every fault at once.
@@ -86,7 +90,7 @@ std::optional<ExactCover> exact_cover(
   model.set_objective(std::move(objective));
 
   ilp::SolverOptions solver;
-  solver.time_limit_seconds = options.ilp_time_limit_seconds;
+  solver.time_limit_seconds = kIlpTimeLimitSeconds;
   solver.absolute_gap = 0.5;  // objective is integral
   solver.control = options.control;
   const ilp::Solution solution = ilp::solve_ilp(model, solver);

@@ -15,9 +15,9 @@ namespace mfd::testgen {
 
 struct MinimizeOptions {
   /// Solve exactly with the ILP when the instance is at most this many
-  /// vectors; otherwise (or on ILP time-out) fall back to greedy set cover.
+  /// vectors; otherwise (or when the ILP finds no cover within its 20 s
+  /// limit) fall back to greedy set cover.
   int exact_threshold = 64;
-  double ilp_time_limit_seconds = 20.0;
   /// Optional cooperative deadline/cancellation, threaded into the exact
   /// set-cover ILP. An interrupted solve still contributes its incumbent
   /// (any integral incumbent of the cover model is a valid cover); only the

@@ -17,6 +17,10 @@ namespace {
 // here.
 constexpr double kUseEpsilon = 1e-3;
 
+// Neighborhood::kAuto restricts the candidate edges on grids with more free
+// edges than this (see PathPlanOptions::restrict_to_neighborhood).
+constexpr int kAutoRestrictThreshold = 28;
+
 struct VarLayout {
   // edge_use[r * edge_count + j] -> e_{j,r}; -1 when the edge is excluded.
   std::vector<ilp::VarId> edge_use;
@@ -65,8 +69,7 @@ std::vector<char> neighborhood_candidates(const arch::Biochip& chip) {
 BuiltModel build_model(const arch::Biochip& chip, int num_paths,
                        graph::NodeId s, graph::NodeId t,
                        const std::vector<char>& edge_allowed,
-                       const PathPlanOptions& options,
-                       std::optional<int> cap_added_edges) {
+                       const PathPlanOptions& options) {
   const graph::Graph& grid = chip.grid().graph();
   const int edge_count = grid.edge_count();
   const int node_count = grid.node_count();
@@ -190,34 +193,11 @@ BuiltModel build_model(const arch::Biochip& chip, int num_paths,
                      static_cast<double>(forbidden.size()) - 1.0);
   }
 
-  // Optional cardinality cap (lexicographic second stage under PSO bias).
-  if (cap_added_edges.has_value()) {
-    ilp::LinearExpr total;
-    for (graph::EdgeId j = 0; j < edge_count; ++j) {
-      const ilp::VarId keep = vars.keep[static_cast<std::size_t>(j)];
-      if (keep >= 0) total.add(keep, 1.0);
-    }
-    m.add_constraint(std::move(total), ilp::Sense::kLessEqual,
-                     static_cast<double>(*cap_added_edges));
-  }
-
   // (5): objective.
   ilp::LinearExpr objective;
-  const bool biased = !options.edge_weights.empty();
-  if (biased) {
-    MFD_REQUIRE(options.edge_weights.size() ==
-                    static_cast<std::size_t>(edge_count),
-                "plan_dft_paths(): one edge weight per grid edge required");
-  }
   for (graph::EdgeId j = 0; j < edge_count; ++j) {
     const ilp::VarId keep = vars.keep[static_cast<std::size_t>(j)];
-    if (keep < 0) continue;
-    double cost = 1.0;
-    if (biased) {
-      cost += options.weight_strength *
-              options.edge_weights[static_cast<std::size_t>(j)];
-    }
-    objective.add(keep, cost);
+    if (keep >= 0) objective.add(keep, 1.0);
   }
   for (int r = 0; r < num_paths; ++r) {
     for (graph::EdgeId j = 0; j < edge_count; ++j) {
@@ -403,75 +383,31 @@ bool plan_with_candidates(const arch::Biochip& chip,
   for (int num_paths = options.initial_paths; num_paths <= options.max_paths;
        ++num_paths) {
     if (stop_requested(options.control)) return false;
-    BuiltModel built =
-        build_model(chip, num_paths, s, t, edge_allowed, options, std::nullopt);
+    const BuiltModel built =
+        build_model(chip, num_paths, s, t, edge_allowed, options);
 
     ilp::SolverOptions solver_options;
     solver_options.time_limit_seconds = options.time_limit_seconds;
     solver_options.absolute_gap = options.unbiased_gap;
     solver_options.control = options.control;
-    solver_options.lp.use_dense = options.use_dense_lp;
     const VarLayout& vars = built.layout;
-    // Record every lazy cut discovered, so the second stage can replay them
-    // into the same model instead of rediscovering them.
-    std::vector<ilp::Constraint> recorded_cuts;
     const auto lazy = [&](const std::vector<double>& candidate) {
-      std::vector<ilp::Constraint> cuts =
-          loop_cuts(chip, num_paths, s, vars, candidate);
-      recorded_cuts.insert(recorded_cuts.end(), cuts.begin(), cuts.end());
-      return cuts;
+      return loop_cuts(chip, num_paths, s, vars, candidate);
     };
-    ilp::Solution solution = ilp::solve_ilp(built.model, solver_options, lazy);
+    const ilp::Solution solution =
+        ilp::solve_ilp(built.model, solver_options, lazy);
     plan.ilp_nodes += solution.nodes_explored;
     plan.lazy_cuts += solution.lazy_constraints_added;
     plan.stats += solution.stats;
     if (solve_interrupted(solution.status)) interrupted = true;
     if (!solution.has_solution()) continue;  // infeasible: grow |P|
 
-    // Optional lexicographic second stage: keep the minimum channel count
-    // and re-optimize the PSO bias over edge selection. The stage mutates
-    // the *same* model — replaying the stage-1 lazy cuts and appending the
-    // cardinality cap — and warm-starts from the stage-1 incumbent basis
-    // (the new rows' slacks extend it inside the engine).
-    if (!options.edge_weights.empty()) {
-      int min_added = 0;
-      for (graph::EdgeId j = 0; j < grid.edge_count(); ++j) {
-        const ilp::VarId keep = vars.keep[static_cast<std::size_t>(j)];
-        if (keep >= 0 && solution.binary_value(keep)) ++min_added;
-      }
-      for (const ilp::Constraint& cut : recorded_cuts) {
-        built.model.add_constraint(cut.expr, cut.sense, cut.rhs);
-      }
-      ilp::LinearExpr total;
-      for (graph::EdgeId j = 0; j < grid.edge_count(); ++j) {
-        const ilp::VarId keep = vars.keep[static_cast<std::size_t>(j)];
-        if (keep >= 0) total.add(keep, 1.0);
-      }
-      built.model.add_constraint(std::move(total), ilp::Sense::kLessEqual,
-                                 static_cast<double>(min_added));
-      ilp::SolverOptions biased_options = solver_options;
-      biased_options.absolute_gap = options.biased_gap;
-      if (!solution.basis.empty()) {
-        biased_options.warm_start = &solution.basis;
-      }
-      ilp::Solution biased_solution =
-          ilp::solve_ilp(built.model, biased_options, lazy);
-      plan.ilp_nodes += biased_solution.nodes_explored;
-      plan.lazy_cuts += biased_solution.lazy_constraints_added;
-      plan.stats += biased_solution.stats;
-      if (solve_interrupted(biased_solution.status)) interrupted = true;
-      if (biased_solution.has_solution()) {
-        solution = std::move(biased_solution);
-      }
-    }
-
-    const VarLayout& final_vars = built.layout;
     plan.feasible = true;
     plan.paths_used = num_paths;
     for (int r = 0; r < num_paths; ++r) {
       graph::EdgeMask selected(grid.edge_count(), false);
       for (graph::EdgeId j = 0; j < grid.edge_count(); ++j) {
-        const ilp::VarId var = final_vars.edge_use[static_cast<std::size_t>(
+        const ilp::VarId var = vars.edge_use[static_cast<std::size_t>(
             r * grid.edge_count() + j)];
         if (var >= 0 && solution.binary_value(var)) selected.set(j, true);
       }
@@ -479,7 +415,7 @@ bool plan_with_candidates(const arch::Biochip& chip,
     }
     canonicalize_paths(chip, s, t, plan.paths);
     for (graph::EdgeId j = 0; j < grid.edge_count(); ++j) {
-      const ilp::VarId keep = final_vars.keep[static_cast<std::size_t>(j)];
+      const ilp::VarId keep = vars.keep[static_cast<std::size_t>(j)];
       if (keep < 0 || !solution.binary_value(keep)) continue;
       // Keep only edges some path actually uses (s_j is free to be 1).
       bool used = false;
@@ -536,7 +472,7 @@ PathPlan plan_dft_paths(const arch::Biochip& chip,
           PathPlanOptions::Neighborhood::kAlways ||
       (options.restrict_to_neighborhood ==
            PathPlanOptions::Neighborhood::kAuto &&
-       free_edges > options.auto_restrict_threshold);
+       free_edges > kAutoRestrictThreshold);
   if (restrict) {
     if (plan_with_candidates(chip, options, neighborhood_candidates(chip),
                              plan, interrupted)) {

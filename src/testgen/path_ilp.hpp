@@ -9,7 +9,6 @@
 // the technique of [16].
 #pragma once
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -26,40 +25,28 @@ struct PathPlanOptions {
   int max_paths = 6;
   /// Per-ILP-solve time limit (seconds).
   double time_limit_seconds = 60.0;
-  /// Optional bias per grid edge in [0,1]: free edges with higher weight are
-  /// more expensive to add. Used by the outer PSO to steer the ILP towards
-  /// different near-minimal DFT configurations. Empty = unbiased.
-  std::vector<double> edge_weights;
-  /// Strength of the bias relative to the unit edge cost.
-  double weight_strength = 0.45;
   /// Candidate-edge restriction: limit DFT edges to free grid edges touching
   /// the existing chip (an occupied node: port, device, or channel
-  /// endpoint). kAuto enables the restriction only for large grids, where it
-  /// is what makes the ILP tractable; on small grids the unrestricted model
-  /// solves faster. If the restricted problem is infeasible for every |P|,
-  /// the planner automatically retries with the full grid.
+  /// endpoint). kAuto enables the restriction only for grids with more than
+  /// 28 free edges: that separates the mRNA-scale grids, where the
+  /// restriction is what makes the ILP tractable, from small grids, where
+  /// the unrestricted model solves faster. If the restricted problem is
+  /// infeasible for every |P|, the planner automatically retries with the
+  /// full grid.
   enum class Neighborhood { kAuto, kAlways, kNever };
   Neighborhood restrict_to_neighborhood = Neighborhood::kAuto;
-  /// kAuto restricts when the grid has more free edges than this. The value
-  /// separates the mRNA-scale grids (where the restriction makes the ILP
-  /// tractable) from small grids (where the full model solves faster).
-  int auto_restrict_threshold = 28;
   /// Configurations whose added-edge set is a superset of any entry here are
   /// excluded (no-good cuts). Used to enumerate distinct near-minimal DFT
   /// configurations for the outer PSO level.
   std::vector<std::vector<graph::EdgeId>> forbidden_added_sets;
   /// Branch-and-bound incumbents within this objective distance of the LP
-  /// bound are accepted without proving exact optimality. The defaults keep
+  /// bound are accepted without proving exact optimality. The default keeps
   /// the added-channel count optimal while skipping the expensive proof
   /// tail (edge costs are integral up to small epsilon terms).
   double unbiased_gap = 0.6;
-  double biased_gap = 0.2;
   /// Optional cooperative deadline/cancellation, polled between ILP
   /// re-solves and inside them. Borrowed, may be null.
   const RunControl* control = nullptr;
-  /// Route every LP relaxation through the retained dense simplex instead
-  /// of the revised engine (differential oracle; see LpOptions::use_dense).
-  bool use_dense_lp = false;
   /// When the exact search is interrupted (RunControl stop, or a time/node
   /// limit inside a solve) before any plan is found, build one with the
   /// deterministic greedy planner (greedy_paths.hpp) instead of reporting
@@ -91,7 +78,7 @@ struct PathPlan {
   /// surface the degradation instead of a hard failure.
   Status status = Status::Ok();
   /// LP engine counters accumulated over every ILP solve of this planning
-  /// run (zero under use_dense_lp).
+  /// run.
   ilp::SolveStats stats;
 };
 

@@ -80,7 +80,9 @@ TEST(EnumerateConfigsTest, FirstEntryIsMinimal) {
 // The pools table1 enumerates on the paper chips (pool sizes 3, 3 and 1,
 // default plan options). Round-off in the LP engine can decide which of
 // several equal-cost configurations the search finds, so any change to the
-// engine's arithmetic shows up here as a different edge set or path.
+// engine's arithmetic shows up here as a different edge set or path. Entry
+// 0 is plan_dft_paths() with default options: an uninterrupted exact run
+// whose branch-and-bound nodes warm-start from their parents' bases.
 TEST(EnumerateConfigsTest, PaperChipPoolsArePinned) {
   using Edges = std::vector<graph::EdgeId>;
   struct Config {
@@ -115,6 +117,10 @@ TEST(EnumerateConfigsTest, PaperChipPoolsArePinned) {
     const auto& [pool_size, expected] = pinned.at(chip.name());
     const auto pool = enumerate_dft_configurations(chip, pool_size);
     ASSERT_EQ(pool.size(), expected.size());
+    EXPECT_EQ(pool[0].method, testgen::PathPlan::Method::kExactIlp);
+    EXPECT_TRUE(pool[0].status.ok());
+    EXPECT_GT(pool[0].stats.warm_start_attempts, 0);
+    EXPECT_GT(pool[0].stats.warm_start_hits, 0);
     for (std::size_t i = 0; i < pool.size(); ++i) {
       EXPECT_TRUE(pool[i].feasible);
       EXPECT_EQ(pool[i].paths_used, 2);

@@ -1,16 +1,15 @@
-// Differential tests: the sparse revised-simplex engine against the retained
-// dense two-phase simplex (the differential oracle behind
-// LpOptions::use_dense).
+// Differential tests: the sparse revised-simplex engine against the dense
+// two-phase simplex oracle (tests/oracle), which shares no code with it.
 //
-// Randomized LPs and ILPs — mixed bound shapes (fixed, negative, one-sided),
+// Randomized LPs — mixed bound shapes (fixed, negative, one-sided),
 // degenerate and empty rows, infeasible and unbounded instances — must get
-// the same status and objective from both backends; and a warm-started
+// the same status and objective from both backends, and a warm-started
 // re-solve after appending a cut must agree with a cold solve of the same
-// strengthened model. Path-scale models (60-150 rows shaped like the
-// test-path ILP) repeat those comparisons where the basis inverse fills in,
-// rows swap and the periodic refactorization runs. The testgen-level suite
-// then pins the end-to-end acceptance bar: identical DFT plans from both
-// backends on the paper chips.
+// strengthened model. Randomized ILPs must match an exhaustive oracle that
+// enumerates every integer assignment and solves the continuous remainder
+// with the dense simplex. Path-scale models (60-150 rows shaped like the
+// test-path ILP) repeat the LP comparisons where the basis inverse fills
+// in, rows swap and the periodic refactorization runs.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +18,10 @@
 #include <utility>
 #include <vector>
 
-#include "arch/chips.hpp"
 #include "common/rng.hpp"
 #include "ilp/revised_simplex.hpp"
-#include "ilp/simplex.hpp"
 #include "ilp/solver.hpp"
-#include "testgen/path_ilp.hpp"
+#include "oracle/dense_simplex.hpp"
 
 namespace mfd::ilp {
 namespace {
@@ -102,9 +99,7 @@ TEST(IlpDifferentialTest, RandomLpsMatchDenseOracle) {
   int unbounded = 0;
   for (int instance = 0; instance < 140; ++instance) {
     const Model model = random_model(rng, /*integer_vars=*/false);
-    LpOptions dense_options;
-    dense_options.use_dense = true;
-    const LpResult oracle = solve_lp_dense(model, {}, {}, dense_options);
+    const LpResult oracle = solve_lp_dense(model);
     const LpResult revised = solve_lp(model);
     ASSERT_NE(revised.status, LpStatus::kIterationLimit)
         << "instance " << instance;
@@ -133,14 +128,58 @@ TEST(IlpDifferentialTest, RandomLpsMatchDenseOracle) {
   EXPECT_GE(unbounded, 5);
 }
 
+// The ILP oracle: fixes the integer variables to every assignment within
+// their bounds in turn, solves the continuous remainder with the dense
+// simplex, and keeps the best optimum; only status (kOptimal or
+// kInfeasible) and objective are set. It shares no code with
+// branch-and-bound. random_model() gives integer variables at most four
+// values and continuous ones finite bounds, so the enumeration is small and
+// no remainder is unbounded.
+Solution solve_exhaustively(const Model& model) {
+  const auto n = static_cast<std::size_t>(model.variable_count());
+  std::vector<double> lower(n);
+  std::vector<double> upper(n);
+  std::vector<VarId> integers;
+  for (VarId v = 0; v < model.variable_count(); ++v) {
+    const Variable& var = model.variable(v);
+    lower[static_cast<std::size_t>(v)] = var.lower;
+    upper[static_cast<std::size_t>(v)] = var.upper;
+    if (var.type == VarType::kContinuous) continue;
+    integers.push_back(v);
+    lower[static_cast<std::size_t>(v)] = std::ceil(var.lower);
+    upper[static_cast<std::size_t>(v)] = std::ceil(var.lower);
+  }
+  const double orient = model.minimize() ? 1.0 : -1.0;
+  Solution best;
+  for (;;) {
+    const LpResult lp = solve_lp_dense(model, lower, upper);
+    if (lp.status == LpStatus::kOptimal &&
+        (best.status != SolveStatus::kOptimal ||
+         orient * lp.objective < orient * best.objective)) {
+      best.status = SolveStatus::kOptimal;
+      best.objective = lp.objective;
+    }
+    // Next assignment, odometer order; done once every digit wrapped.
+    std::size_t digit = 0;
+    for (; digit < integers.size(); ++digit) {
+      const VarId v = integers[digit];
+      double& value = lower[static_cast<std::size_t>(v)];
+      value = value + 1.0 <= std::floor(model.variable(v).upper)
+                  ? value + 1.0
+                  : std::ceil(model.variable(v).lower);
+      upper[static_cast<std::size_t>(v)] = value;
+      if (value != std::ceil(model.variable(v).lower)) break;
+    }
+    if (digit == integers.size()) return best;
+  }
+}
+
 TEST(IlpDifferentialTest, RandomIlpsMatchDenseOracle) {
   Rng rng(911);
   int optimal = 0;
   for (int instance = 0; instance < 80; ++instance) {
     const Model model = random_model(rng, /*integer_vars=*/true);
-    SolverOptions dense_options;
-    dense_options.lp.use_dense = true;
-    const Solution oracle = solve_ilp(model, dense_options);
+    const Solution oracle = solve_exhaustively(model);
     const Solution revised = solve_ilp(model);
     ASSERT_EQ(revised.status, oracle.status) << "instance " << instance;
     if (oracle.status == SolveStatus::kOptimal) {
@@ -191,9 +230,7 @@ TEST(IlpDifferentialTest, WarmStartAfterCutMatchesColdStart) {
 
     // The dense oracle on the strengthened model must agree with both.
     model.add_constraint(constraint.expr, constraint.sense, constraint.rhs);
-    LpOptions dense_options;
-    dense_options.use_dense = true;
-    const LpResult oracle = solve_lp_dense(model, {}, {}, dense_options);
+    const LpResult oracle = solve_lp_dense(model);
     ASSERT_EQ(warm.status, oracle.status) << "instance " << instance;
     if (oracle.status == LpStatus::kOptimal) {
       EXPECT_NEAR(warm.objective, oracle.objective,
@@ -326,8 +363,6 @@ Model path_scale_model(Rng& rng, bool walks) {
 // branch-and-bound on the revised engine.
 TEST(IlpDifferentialTest, PathScaleModelsMatchDenseOracle) {
   Rng rng(20260418);
-  LpOptions dense_options;
-  dense_options.use_dense = true;
   SolveStats cold_stats;
   int cold_optimal = 0;
   int warm_solves = 0;
@@ -350,7 +385,7 @@ TEST(IlpDifferentialTest, PathScaleModelsMatchDenseOracle) {
     LpEngine engine(model);
     LpResult current = engine.solve();
     cold_stats += engine.stats();
-    const LpResult cold_oracle = solve_lp_dense(model, {}, {}, dense_options);
+    const LpResult cold_oracle = solve_lp_dense(model);
     ASSERT_EQ(current.status, cold_oracle.status) << "instance " << instance;
     if (current.status != LpStatus::kOptimal) continue;
     ++cold_optimal;
@@ -391,7 +426,7 @@ TEST(IlpDifferentialTest, PathScaleModelsMatchDenseOracle) {
       EXPECT_EQ(again.iterations, warm.iterations);
       EXPECT_EQ(again.objective, warm.objective);
       EXPECT_EQ(again.values, warm.values);
-      const LpResult oracle = solve_lp_dense(model, {}, {}, dense_options);
+      const LpResult oracle = solve_lp_dense(model);
       ASSERT_EQ(warm.status, oracle.status)
           << "instance " << instance << " round " << round;
       if (warm.status != LpStatus::kOptimal) break;
@@ -413,32 +448,3 @@ TEST(IlpDifferentialTest, PathScaleModelsMatchDenseOracle) {
 
 }  // namespace
 }  // namespace mfd::ilp
-
-namespace mfd::testgen {
-namespace {
-
-// End-to-end acceptance bar: warm-started incremental planning on the
-// revised engine must produce *identical* DFT plans to the dense oracle on
-// every paper benchmark chip — same |P|, same added channels, same paths.
-TEST(TestgenDifferentialTest, PlansMatchDenseOracleOnPaperChips) {
-  for (const arch::Biochip& chip : arch::make_paper_chips()) {
-    PathPlanOptions options;
-    const PathPlan revised = plan_dft_paths(chip, options);
-    options.use_dense_lp = true;
-    const PathPlan oracle = plan_dft_paths(chip, options);
-    ASSERT_EQ(revised.feasible, oracle.feasible);
-    ASSERT_TRUE(revised.feasible);
-    EXPECT_EQ(revised.paths_used, oracle.paths_used);
-    EXPECT_EQ(revised.added_edges, oracle.added_edges);
-    EXPECT_EQ(revised.paths, oracle.paths);
-    EXPECT_EQ(revised.method, PathPlan::Method::kExactIlp);
-    EXPECT_TRUE(revised.status.ok());
-    // The revised run must actually have warm-started somewhere.
-    EXPECT_GT(revised.stats.warm_start_attempts, 0);
-    EXPECT_GT(revised.stats.warm_start_hits, 0);
-    EXPECT_EQ(oracle.stats.lp_solves, 0);  // oracle path bypasses the engine
-  }
-}
-
-}  // namespace
-}  // namespace mfd::testgen

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "ilp/model.hpp"
-#include "ilp/simplex.hpp"
+#include "ilp/revised_simplex.hpp"
+#include "oracle/dense_simplex.hpp"
 
 namespace mfd::ilp {
 namespace {
@@ -209,9 +210,7 @@ TEST(PresolveTest, BoundTighteningProvesInfeasibility) {
   EXPECT_EQ(solve_lp(m).status, LpStatus::kInfeasible);
 
   // The dense oracle agrees.
-  LpOptions dense;
-  dense.use_dense = true;
-  EXPECT_EQ(solve_lp(m, {}, {}, dense).status, LpStatus::kInfeasible);
+  EXPECT_EQ(solve_lp_dense(m).status, LpStatus::kInfeasible);
 }
 
 }  // namespace

@@ -259,7 +259,6 @@ TEST(IlpSolverTest, NodeLimitRetainsIncumbentAndStats) {
   EXPECT_GT(s.runtime_seconds, 0.0);
   EXPECT_GT(s.stats.lp_solves, 0);
   EXPECT_GT(s.stats.pivots, 0);
-  EXPECT_FALSE(s.basis.empty());
 }
 
 TEST(IlpSolverTest, CancelDuringSearchKeepsIncumbentStats) {

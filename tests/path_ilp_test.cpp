@@ -110,24 +110,6 @@ TEST(PathIlpTest, AlreadyTestableChipNeedsNoEdges) {
   EXPECT_TRUE(plan.added_edges.empty());
 }
 
-TEST(PathIlpTest, WeightsSteerEdgeChoiceWithoutChangingCount) {
-  const Biochip chip = arch::make_figure4_chip();
-  const PathPlan base = plan_dft_paths(chip);
-  ASSERT_TRUE(base.feasible);
-
-  PathPlanOptions options;
-  options.edge_weights.assign(
-      static_cast<std::size_t>(chip.grid().graph().edge_count()), 0.0);
-  // Make the base plan's added edges expensive.
-  for (graph::EdgeId e : base.added_edges) {
-    options.edge_weights[static_cast<std::size_t>(e)] = 1.0;
-  }
-  const PathPlan biased = plan_dft_paths(chip, options);
-  check_plan(chip, biased);
-  // Lexicographic: the channel count must not grow.
-  EXPECT_EQ(biased.added_edges.size(), base.added_edges.size());
-}
-
 TEST(PathIlpTest, ForbiddenSetsEnumerateDistinctConfigs) {
   const Biochip chip = arch::make_figure4_chip();
   const PathPlan first = plan_dft_paths(chip);

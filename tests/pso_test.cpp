@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "pso/pso.hpp"
 
@@ -11,6 +13,19 @@ double sphere(const std::vector<double>& x) {
   double total = 0.0;
   for (double v : x) total += (v - 0.5) * (v - 0.5);
   return total;
+}
+
+// A batch objective that evaluates a scalar objective position by position,
+// in order.
+BatchObjective sequential(
+    std::function<double(const std::vector<double>&)> objective) {
+  return [objective = std::move(objective)](
+             std::span<const std::vector<double>> positions,
+             std::span<double> values) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      values[i] = objective(positions[i]);
+    }
+  };
 }
 
 TEST(DecodeIndexTest, MapsUnitIntervalToBuckets) {
@@ -34,7 +49,7 @@ TEST(PsoTest, MinimizesSphere) {
   PsoOptions options;
   options.particles = 10;
   options.iterations = 60;
-  const PsoResult r = minimize(4, sphere, options);
+  const PsoResult r = minimize(4, sequential(sphere), options);
   EXPECT_LT(r.best_value, 0.01);
   for (double x : r.best_position) {
     EXPECT_NEAR(x, 0.5, 0.2);
@@ -45,7 +60,7 @@ TEST(PsoTest, BestPerIterationIsMonotoneNonIncreasing) {
   PsoOptions options;
   options.particles = 6;
   options.iterations = 30;
-  const PsoResult r = minimize(3, sphere, options);
+  const PsoResult r = minimize(3, sequential(sphere), options);
   ASSERT_EQ(r.best_per_iteration.size(), 31u);
   for (std::size_t i = 1; i < r.best_per_iteration.size(); ++i) {
     EXPECT_LE(r.best_per_iteration[i], r.best_per_iteration[i - 1] + 1e-12);
@@ -55,8 +70,8 @@ TEST(PsoTest, BestPerIterationIsMonotoneNonIncreasing) {
 TEST(PsoTest, DeterministicForFixedSeed) {
   PsoOptions options;
   options.seed = 77;
-  const PsoResult a = minimize(3, sphere, options);
-  const PsoResult b = minimize(3, sphere, options);
+  const PsoResult a = minimize(3, sequential(sphere), options);
+  const PsoResult b = minimize(3, sequential(sphere), options);
   EXPECT_DOUBLE_EQ(a.best_value, b.best_value);
   EXPECT_EQ(a.best_position, b.best_position);
 }
@@ -67,8 +82,8 @@ TEST(PsoTest, DifferentSeedsExploreDifferently) {
   a_options.iterations = 5;
   PsoOptions b_options = a_options;
   b_options.seed = 2;
-  const PsoResult a = minimize(5, sphere, a_options);
-  const PsoResult b = minimize(5, sphere, b_options);
+  const PsoResult a = minimize(5, sequential(sphere), a_options);
+  const PsoResult b = minimize(5, sequential(sphere), b_options);
   EXPECT_NE(a.best_position, b.best_position);
 }
 
@@ -76,11 +91,11 @@ TEST(PsoTest, ZeroDimensionsEvaluatesOnce) {
   int calls = 0;
   const PsoResult r = minimize(
       0,
-      [&](const std::vector<double>& x) {
+      sequential([&](const std::vector<double>& x) {
         ++calls;
         EXPECT_TRUE(x.empty());
         return 42.0;
-      },
+      }),
       PsoOptions{});
   EXPECT_EQ(calls, 1);
   EXPECT_DOUBLE_EQ(r.best_value, 42.0);
@@ -93,9 +108,9 @@ TEST(PsoTest, HandlesAllInfiniteObjectives) {
   options.iterations = 5;
   const PsoResult r = minimize(
       2,
-      [](const std::vector<double>&) {
+      sequential([](const std::vector<double>&) {
         return std::numeric_limits<double>::infinity();
-      },
+      }),
       options);
   EXPECT_TRUE(std::isinf(r.best_value));
 }
@@ -106,7 +121,7 @@ TEST(PsoTest, SeedPositionsAreEvaluatedFirst) {
   options.particles = 5;
   options.iterations = 0;
   const std::vector<double> optimum(3, 0.5);
-  const PsoResult r = minimize(3, sphere, options, {optimum});
+  const PsoResult r = minimize(3, sequential(sphere), options, {optimum});
   EXPECT_NEAR(r.best_value, 0.0, 1e-12);
   EXPECT_EQ(r.best_position, optimum);
 }
@@ -117,26 +132,26 @@ TEST(PsoTest, SeedPositionsClampedIntoUnitCube) {
   options.iterations = 0;
   const PsoResult r = minimize(
       2,
-      [](const std::vector<double>& x) {
+      sequential([](const std::vector<double>& x) {
         for (double v : x) {
           EXPECT_GE(v, 0.0);
           EXPECT_LE(v, 1.0);
         }
         return 0.0;
-      },
+      }),
       options, {{-3.0, 9.0}});
   EXPECT_DOUBLE_EQ(r.best_value, 0.0);
 }
 
 TEST(PsoTest, SeedDimensionMismatchRejected) {
-  EXPECT_THROW(minimize(3, sphere, PsoOptions{}, {{0.5}}), Error);
+  EXPECT_THROW(minimize(3, sequential(sphere), PsoOptions{}, {{0.5}}), Error);
 }
 
 TEST(PsoTest, EvaluationCountMatchesBudget) {
   PsoOptions options;
   options.particles = 7;
   options.iterations = 9;
-  const PsoResult r = minimize(2, sphere, options);
+  const PsoResult r = minimize(2, sequential(sphere), options);
   EXPECT_EQ(r.evaluations, 7 * (1 + 9));
 }
 
@@ -145,7 +160,7 @@ TEST(PsoBatchTest, BatchObjectiveMatchesScalar) {
   options.particles = 6;
   options.iterations = 20;
   options.seed = 31;
-  const PsoResult scalar = minimize(3, sphere, options);
+  const PsoResult scalar = minimize(3, sequential(sphere), options);
   const BatchObjective batch =
       [](std::span<const std::vector<double>> positions,
          std::span<double> values) {
@@ -214,7 +229,7 @@ TEST(PsoBatchTest, EvaluationOrderInsideBatchIsUnobservable) {
           values[i] = sphere(positions[i]);
         }
       };
-  const PsoResult forward = minimize(4, sphere, options);
+  const PsoResult forward = minimize(4, sequential(sphere), options);
   const PsoResult backward = minimize(4, reversed, options);
   EXPECT_EQ(forward.best_position, backward.best_position);
   EXPECT_EQ(forward.best_per_iteration, backward.best_per_iteration);
@@ -226,13 +241,13 @@ TEST(PsoTest, PositionsStayInUnitCube) {
   options.iterations = 40;
   options.vmax = 0.9;
   minimize(3,
-           [](const std::vector<double>& x) {
+           sequential([](const std::vector<double>& x) {
              for (double v : x) {
                EXPECT_GE(v, 0.0);
                EXPECT_LE(v, 1.0);
              }
              return -x[0];  // push against the boundary
-           },
+           }),
            options);
 }
 

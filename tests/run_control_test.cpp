@@ -225,9 +225,12 @@ TEST(PsoStopTest, PreCancelledControlStopsImmediately) {
   int calls = 0;
   const pso::PsoResult result = pso::minimize(
       2,
-      [&calls](const std::vector<double>&) {
-        ++calls;
-        return 0.0;
+      [&calls](std::span<const std::vector<double>> positions,
+               std::span<double> values) {
+        for (std::size_t i = 0; i < positions.size(); ++i) {
+          ++calls;
+          values[i] = 0.0;
+        }
       },
       options);
   EXPECT_TRUE(result.stopped_early);

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "ilp/simplex.hpp"
+#include "ilp/revised_simplex.hpp"
 
 namespace mfd::ilp {
 namespace {
