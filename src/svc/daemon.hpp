@@ -41,7 +41,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -56,19 +55,8 @@ class FaultInjectPlan;
 
 namespace mfd::svc {
 
-/// Daemon counters, monotonic over its lifetime; the CoreCounters part is
-/// its execution core's.
-struct DaemonMetrics : CoreCounters {
-  std::int64_t clients_served = 0;  ///< Client connections fully answered.
-  std::int64_t workers_joined = 0;  ///< Remote-worker connections accepted.
-  std::int64_t jobs_admitted = 0;   ///< Entered the priority queue.
-  std::int64_t jobs_shed = 0;       ///< Refused as kUnavailable (overload).
-  std::int64_t jobs_parse_error = 0;
-  std::int64_t jobs_done = 0;       ///< Results delivered (any outcome).
-  /// Admissions by class (index = svc::JobClass).
-  std::int64_t admitted_interactive = 0;
-  std::int64_t admitted_bulk = 0;
-};
+/// The daemon reports the service's one counter model (svc/job.hpp).
+using DaemonMetrics = ServiceMetrics;
 
 struct DaemonOptions {
   /// Bind address; port 0 picks a kernel-assigned ephemeral port (the
@@ -76,9 +64,10 @@ struct DaemonOptions {
   std::string host = "127.0.0.1";
   int port = 0;
 
-  /// In-process executor threads. 0 means *none*: the daemon serves
-  /// exclusively through remote workers (`mfdft_jobd --connect`), which is
-  /// how a coordinator node with no compute of its own is configured.
+  /// In-process executor threads, at most kMaxThreads. 0 means *none*: the
+  /// daemon serves exclusively through remote workers (`mfdft_jobd
+  /// --connect`), which is how a coordinator node with no compute of its
+  /// own is configured.
   int executors = 1;
 
   /// Shared priority queue: capacity bounds admitted-but-unstarted jobs
@@ -128,7 +117,9 @@ class JobDaemon {
   /// The bound port (only meaningful after a successful start()).
   [[nodiscard]] int port() const;
 
-  [[nodiscard]] DaemonMetrics metrics() const;
+  /// Its execution core's metrics: every result delivered to a client, the
+  /// admission, session and worker counters, and the shared cache's.
+  [[nodiscard]] ServiceMetrics metrics() const;
 
  private:
   struct Impl;
@@ -160,8 +151,9 @@ struct ClientOptions {
 /// every input line verbatim (blank lines included, so the daemon's "line
 /// N" parse messages match a local run), half-closes, then drains results.
 /// Fails kUnavailable when no connection could be made, kInternalError
-/// when the daemon vanished mid-stream. *results_out (optional) receives
-/// the number of result lines written.
+/// when the daemon vanished mid-stream. On success, *metrics (optional)
+/// receives the client's tally of the results it wrote: adopted ones
+/// counted in jobs_resumed, and its own wall time.
 ///
 /// Without a `journal_dir`, input and results stream as they come. With
 /// one, the client is durable: every received result with a deterministic
@@ -172,13 +164,12 @@ struct ClientOptions {
 /// uninterrupted run. The daemon stays stateless: resume is entirely
 /// client-side. On a connection loss the journal keeps everything that
 /// arrived and the error is returned (rerun with resume=true to finish);
-/// `out` is only written on success. *resumed_out (optional) receives the
-/// adopted-record count.
+/// `out` is only written on success.
 Status run_daemon_client(std::istream& in, std::ostream& out,
                          const ClientOptions& options,
                          const std::string& journal_dir = "",
-                         bool resume = false, int* results_out = nullptr,
-                         int* resumed_out = nullptr);
+                         bool resume = false,
+                         ServiceMetrics* metrics = nullptr);
 
 /// Donates this process to a daemon as a remote worker — the networked
 /// `mfdft_jobd --worker`. Connects with reconnect-backoff, sends the

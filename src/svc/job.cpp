@@ -1,5 +1,7 @@
 #include "svc/job.hpp"
 
+#include <cstdio>
+
 #include "common/error.hpp"
 
 namespace mfd::svc {
@@ -131,7 +133,8 @@ Status JobSpec::validate() const {
   flag(universe != "stuck_at" && universe != "stuck_at_leakage",
        "universe must be 'stuck_at' or 'stuck_at_leakage'");
   flag(deadline_s < 0.0, "deadline_s must be >= 0");
-  flag(threads < 0, "threads must be >= 0");
+  flag(threads < 0 || threads > kMaxThreads,
+       "threads must be in [0, " + std::to_string(kMaxThreads) + "]");
   if (!priority.empty()) {
     JobClass parsed;
     flag(!job_class_from_name(priority, &parsed),
@@ -311,6 +314,53 @@ bool blank(const std::string& line) {
     if (c != ' ' && c != '\t' && c != '\r') return false;
   }
   return true;
+}
+
+void ServiceMetrics::tally(const JobResult& result) {
+  ++jobs_total;
+  switch (result.status.outcome) {
+    case Outcome::kOk:
+      ++jobs_ok;
+      break;
+    case Outcome::kDeadlineExceeded:
+    case Outcome::kCancelled:
+      ++jobs_stopped;
+      break;
+    default:
+      ++jobs_failed;
+      break;
+  }
+  queue_wait_seconds_total += result.queue_wait_seconds;
+  if (result.queue_wait_seconds > queue_wait_seconds_max) {
+    queue_wait_seconds_max = result.queue_wait_seconds;
+  }
+  stats += result.stats;
+}
+
+std::string ServiceMetrics::summary() const {
+  std::string text = std::to_string(jobs_total) + " jobs (" +
+                     std::to_string(jobs_ok) + " ok, " +
+                     std::to_string(jobs_stopped) + " stopped, " +
+                     std::to_string(jobs_failed) + " failed)";
+  const auto add = [&text](std::int64_t count, const char* what) {
+    if (count != 0) text += ", " + std::to_string(count) + " " + what;
+  };
+  add(parse_errors, "parse errors");
+  add(jobs_resumed, "resumed");
+  add(jobs_shed, "shed");
+  add(jobs_remote, "remote");
+  add(jobs_retried, "retried");
+  add(jobs_quarantined, "quarantined");
+  add(workers_lost, "workers lost");
+  add(clients_served, "clients served");
+  add(workers_joined, "remote workers joined");
+  add(cache_shared_hits, "cache hits");
+  add(cache_entries, "cache entries");
+  add(cache_disk_loaded, "cache entries warm from disk");
+  char wall[64];
+  std::snprintf(wall, sizeof wall, " in %.2fs wall, max queue wait %.3fs",
+                wall_seconds, queue_wait_seconds_max);
+  return text + wall;
 }
 
 JobResult parse_error_result(int index, int line_number,

@@ -27,8 +27,6 @@ namespace mfd::svc {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// A batch's bulk jobs wait at most this long behind interactive ones.
 constexpr double kBatchAgePromoteS = 5.0;
 
@@ -71,35 +69,17 @@ Status JobdOptions::validate() const {
     if (!problems.empty()) problems += "; ";
     problems += what;
   };
-  flag(threads < 0, "threads must be >= 0");
+  const std::string bound = ", " + std::to_string(kMaxThreads) + "]";
+  flag(threads < 0 || threads > kMaxThreads, "threads must be in [0" + bound);
   flag(deadline_s < 0.0, "deadline_s must be >= 0");
-  flag(workers < 0, "workers must be >= 0");
+  flag(workers < 0 || workers > kMaxThreads, "workers must be in [0" + bound);
   flag(workers > 0 && worker_command.empty(),
        "worker_command must not be empty when workers > 0");
   flag(stall_timeout_s < 0.0, "stall_timeout_s must be >= 0");
   flag(max_attempts < 1, "max_attempts must be >= 1");
+  flag(cache_mb < 0, "cache_mb must be >= 0");
   if (problems.empty()) return Status::Ok();
   return Status::Fail(Outcome::kInvalidOptions, "jobd", std::move(problems));
-}
-
-void ServiceMetrics::tally(const JobResult& result) {
-  switch (result.status.outcome) {
-    case Outcome::kOk:
-      ++jobs_ok;
-      break;
-    case Outcome::kDeadlineExceeded:
-    case Outcome::kCancelled:
-      ++jobs_stopped;
-      break;
-    default:
-      ++jobs_failed;
-      break;
-  }
-  queue_wait_seconds_total += result.queue_wait_seconds;
-  if (result.queue_wait_seconds > queue_wait_seconds_max) {
-    queue_wait_seconds_max = result.queue_wait_seconds;
-  }
-  stats += result.stats;
 }
 
 ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
@@ -111,74 +91,52 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
                              on_result) {
   const Status valid = options.validate();
   MFD_REQUIRE(valid.ok(), "run_batch: " + valid.message);
-  const Clock::time_point start = Clock::now();
-  // Cache counters are deltas over this batch (the cache may be long-lived
-  // and shared across batches); snapshot before any job runs.
-  const core::FitnessCacheStats cache_before =
-      cache != nullptr ? cache->stats() : core::FitnessCacheStats{};
-  ServiceMetrics metrics;
-  metrics.jobs_total = static_cast<int>(slots.size());
-  if (!slots.empty()) {
-    const auto sink =
-        std::make_shared<BatchSink>(results, on_result, slots.size());
-    int executors = options.workers > 0 ? options.workers : options.threads;
-    if (executors == 0) executors = ThreadPool::hardware_threads();
-    ExecutionCore::Policy policy;
-    // The queue holds the whole batch. One executor runs it in input order,
-    // so a crash after job k leaves exactly jobs 0..k journaled.
-    policy.capacity = slots.size();
-    policy.age_promote_s = executors == 1 ? 0.0 : kBatchAgePromoteS;
-    policy.default_deadline_s = options.deadline_s;
-    policy.stall_timeout_s = options.stall_timeout_s;
-    policy.max_attempts = options.max_attempts;
-    policy.control = options.control;
-    policy.tracer = options.tracer;
-    ExecutionCore core(policy, cache);
-    for (const int slot : slots) {
-      const JobSpec& spec = specs[static_cast<std::size_t>(slot)];
-      Task task;
-      task.spec = std::shared_ptr<const JobSpec>(std::shared_ptr<void>(), &spec);
-      task.sink = sink;
-      task.index = slot;
-      task.job_class = static_cast<int>(job_class_of(spec));
-      (void)core.submit(task);
-    }
-    if (options.workers > 0) {
-      WorkerCommand command;
-      command.argv = options.worker_command;
-      if (!options.cache_dir.empty()) {
-        // Workers own their caches; they share through the persistent tier.
-        command.argv.insert(command.argv.end(),
-                            {"--cache-dir", options.cache_dir, "--cache-mb",
-                             std::to_string(options.cache_mb)});
-      }
-      if (!options.fault_inject.empty()) {
-        command.env.push_back(std::string(kFaultInjectEnv) + "=" +
-                              options.fault_inject);
-      }
-      core.add_workers(command, executors);
-    } else {
-      core.add_in_process(executors);
-    }
-    sink->wait();
-    (void)core.close();
-    const CoreCounters counts = core.counters();
-    metrics.jobs_retried = static_cast<int>(counts.jobs_retried);
-    metrics.jobs_quarantined = static_cast<int>(counts.jobs_quarantined);
-    metrics.workers_lost = static_cast<int>(counts.workers_lost);
-  }
+  const auto sink =
+      std::make_shared<BatchSink>(results, on_result, slots.size());
+  int executors = options.workers > 0 ? options.workers : options.threads;
+  if (executors == 0) executors = ThreadPool::hardware_threads();
+  ExecutionCore::Policy policy;
+  // The queue holds the whole batch. One executor runs it in input order,
+  // so a crash after job k leaves exactly jobs 0..k journaled.
+  policy.capacity = slots.size();
+  policy.age_promote_s = executors == 1 ? 0.0 : kBatchAgePromoteS;
+  policy.default_deadline_s = options.deadline_s;
+  policy.stall_timeout_s = options.stall_timeout_s;
+  policy.max_attempts = options.max_attempts;
+  policy.control = options.control;
+  policy.tracer = options.tracer;
+  ExecutionCore core(policy, cache);
   for (const int slot : slots) {
-    metrics.tally(results[static_cast<std::size_t>(slot)]);
+    const JobSpec& spec = specs[static_cast<std::size_t>(slot)];
+    Task task;
+    task.spec = std::shared_ptr<const JobSpec>(std::shared_ptr<void>(), &spec);
+    task.sink = sink;
+    task.index = slot;
+    task.job_class = static_cast<int>(job_class_of(spec));
+    (void)core.submit(task);
   }
-  metrics.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (cache != nullptr) {
-    const core::FitnessCacheStats after = cache->stats();
-    metrics.cache_shared_hits = after.hits - cache_before.hits;
-    metrics.cache_shared_misses = after.misses - cache_before.misses;
-    metrics.cache_entries = static_cast<std::int64_t>(cache->size());
-    metrics.cache_disk_loaded = after.disk_entries_loaded;
+  if (slots.empty()) {
+    // Every job was answered already (parse errors, a full resume).
+  } else if (options.workers > 0) {
+    WorkerCommand command;
+    command.argv = options.worker_command;
+    if (!options.cache_dir.empty()) {
+      // Workers own their caches; they share through the persistent tier.
+      command.argv.insert(command.argv.end(),
+                          {"--cache-dir", options.cache_dir, "--cache-mb",
+                           std::to_string(options.cache_mb)});
+    }
+    if (!options.fault_inject.empty()) {
+      command.env.push_back(std::string(kFaultInjectEnv) + "=" +
+                            options.fault_inject);
+    }
+    core.add_workers(command, executors);
+  } else {
+    core.add_in_process(executors);
   }
+  sink->wait();
+  (void)core.close();
+  const ServiceMetrics metrics = core.metrics();
   if (options.tracer != nullptr) {
     options.tracer->counter("svc.jobs_ok", metrics.jobs_ok);
     options.tracer->counter("svc.jobs_stopped", metrics.jobs_stopped);
@@ -203,7 +161,6 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   std::vector<bool> is_parse_error;
   std::string line;
   int line_number = 0;
-  int parse_errors = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (blank(line)) continue;
@@ -218,13 +175,10 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
       results.push_back(parse_error_result(index, line_number, e.what()));
       is_parse_error.push_back(true);
       specs.emplace_back();
-      ++parse_errors;
     }
   }
 
   JobdReport report;
-  report.jobs_total = static_cast<int>(results.size());
-  report.parse_errors = parse_errors;
 
   // Durable-execution setup: the journal (when configured) adopts an
   // earlier interrupted run's completed results; the fault plan drives the
@@ -258,10 +212,6 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
       // Recompute this job.
     }
   }
-  for (const bool flag : adopted) {
-    if (flag) ++report.jobs_resumed;
-  }
-
   // Everything below funnels completed results through one hook: journal
   // the deterministic ones (fsync'd before the batch moves on), then fire
   // the injected driver crash. May run on executor threads.
@@ -306,6 +256,13 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   }
   report.metrics =
       run_batch(specs, slots, results, options, cache.get(), record);
+  // The slots answered without running count once too.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!is_parse_error[i] && !adopted[i]) continue;
+    report.metrics.tally(results[i]);
+    if (is_parse_error[i]) ++report.metrics.parse_errors;
+    if (adopted[i]) ++report.metrics.jobs_resumed;
+  }
   Status cache_persist = Status::Ok();
   if (cache != nullptr) cache_persist = cache->persist();
 
@@ -314,19 +271,14 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   // the journal's stored bytes verbatim; everything else is freshly
   // serialized — the same bytes an uninterrupted run would produce, since
   // run_job is a pure function of the spec.
-  ServiceMetrics whole;
   report.job_run_seconds.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     out << (adopted[i] ? journal.completed().at(static_cast<int>(i))
                        : results[i].to_json().dump()) +
                "\n";
-    whole.tally(results[i]);
     report.job_run_seconds.push_back(results[i].run_seconds);
   }
   out.flush();
-  report.jobs_ok = whole.jobs_ok;
-  report.jobs_stopped = whole.jobs_stopped;
-  report.jobs_failed = whole.jobs_failed;
   report.cache_persist = cache_persist;
   report.journal_appended = journal.stats().records_appended;
   report.interrupted =

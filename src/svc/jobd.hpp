@@ -18,13 +18,11 @@
 // with stringstreams; the tools/ binary is a thin flag parser around them.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "common/eval_stats.hpp"
 #include "common/run_control.hpp"
 #include "common/trace.hpp"
 #include "core/fitness_cache.hpp"
@@ -38,7 +36,8 @@ namespace mfd::svc {
 
 struct JobdOptions {
   /// Job-level workers, including the calling thread (0 = hardware
-  /// concurrency). Output bytes are identical for every value.
+  /// concurrency, at most kMaxThreads). Output bytes are identical for
+  /// every value.
   int threads = 1;
   /// Default per-job deadline in seconds applied to jobs whose spec has
   /// none (0 = no default).
@@ -48,9 +47,9 @@ struct JobdOptions {
   Tracer* tracer = nullptr;
 
   /// Crash-isolated worker subprocesses (0 = in-process execution over
-  /// `threads`). With workers > 0 the batch runs on worker-pipe executors
-  /// spawning `worker_command` children; output bytes for crash-free runs
-  /// are identical to every in-process thread count.
+  /// `threads`; at most kMaxThreads). With workers > 0 the batch runs on
+  /// worker-pipe executors spawning `worker_command` children; output bytes
+  /// for crash-free runs are identical to every in-process thread count.
   int workers = 0;
   std::vector<std::string> worker_command;
   /// Per-job watchdog: a worker that has produced no result this many
@@ -97,57 +96,11 @@ struct JobdOptions {
   [[nodiscard]] Status validate() const;
 };
 
-/// Service-level snapshot aggregated over one executed batch.
-struct ServiceMetrics {
-  int jobs_total = 0;
-  /// Outcome buckets: ok / stopped (deadline, cancel) / failed (invalid,
-  /// infeasible, internal, unavailable). The three sum to jobs_total.
-  int jobs_ok = 0;
-  int jobs_stopped = 0;
-  int jobs_failed = 0;
-  /// Crash-isolation counters (always 0 in-process): jobs requeued after a
-  /// worker loss, jobs quarantined as kUnavailable after exhausting their
-  /// attempts, and worker processes lost to crashes, stalls or torn output.
-  int jobs_retried = 0;
-  int jobs_quarantined = 0;
-  int workers_lost = 0;
-  /// Shared fitness cache, when one was attached to the batch (see
-  /// core/fitness_cache.hpp): lookups served / missed across all jobs,
-  /// entries resident afterwards, and entries that arrived warm from the
-  /// persistent tier. All physical-savings accounting — the deterministic
-  /// per-job counters in `stats` are unaffected by the cache configuration.
-  /// Worker-subprocess batches leave these at 0 (each worker owns its
-  /// cache; sharing is disk-mediated and counted in the worker).
-  std::int64_t cache_shared_hits = 0;
-  std::int64_t cache_shared_misses = 0;
-  std::int64_t cache_entries = 0;
-  std::int64_t cache_disk_loaded = 0;
-  /// Queue latency (push -> start) across jobs, seconds.
-  double queue_wait_seconds_total = 0.0;
-  double queue_wait_seconds_max = 0.0;
-  /// End-to-end batch wall time, seconds.
-  double wall_seconds = 0.0;
-  /// Deterministic evaluation counters summed over every job.
-  EvalStats stats;
-
-  /// Buckets one finished job: outcome counters, queue-wait aggregates and
-  /// EvalStats.
-  void tally(const JobResult& result);
-};
-
-/// Batch summary (the executed jobs' metrics plus parse accounting).
+/// Batch summary.
 struct JobdReport {
-  /// Input lines that held a job (blank lines are skipped).
-  int jobs_total = 0;
-  /// Lines rejected by the JSON/JobSpec parser (counted in jobs_total and
-  /// in the "failed" bucket below).
-  int parse_errors = 0;
-  /// Outcome buckets over the whole batch: executed, parse-error and
-  /// journal-adopted slots alike.
-  int jobs_ok = 0;
-  int jobs_stopped = 0;
-  int jobs_failed = 0;
-  /// Metrics of the jobs this run executed.
+  /// The whole batch: the jobs this run executed, the parse-error slots
+  /// (counted in parse_errors and failed) and the journal-adopted ones
+  /// (counted in jobs_resumed), each tallied once.
   ServiceMetrics metrics;
   /// Outcome of writing the persistent cache segment at the end of the
   /// batch (kOk when no cache_dir was configured or nothing was new).
@@ -156,9 +109,6 @@ struct JobdReport {
   /// (the batch does not run — durability was requested and cannot be
   /// provided) or when a record write failed mid-batch.
   Status journal_status = Status::Ok();
-  /// Jobs adopted from the journal instead of re-run (resume mode). Their
-  /// job_run_seconds entries are 0 — results are wall-clock free.
-  int jobs_resumed = 0;
   /// Records appended to the journal by this run.
   int journal_appended = 0;
   /// True when the batch control stopped the run before every job executed
@@ -175,8 +125,9 @@ struct JobdReport {
 /// and stores each result in results[i] (index i), which must have room.
 /// `cache` (borrowed, may be null) is shared by in-process jobs;
 /// `on_result` (may be empty) sees every final result once, on an executor
-/// thread. Blocks until every listed job has a result; throws mfd::Error
-/// when the options are invalid.
+/// thread. Blocks until every listed job has a result and returns the
+/// core's metrics of the batch; throws mfd::Error when the options are
+/// invalid.
 ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
                          const std::vector<int>& slots,
                          std::vector<JobResult>& results,

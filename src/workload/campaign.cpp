@@ -224,21 +224,14 @@ Status expand_campaign(const CampaignSpec& spec,
 CampaignReport summarize_campaign(const CampaignSpec& spec,
                                   const std::vector<CampaignJob>& jobs,
                                   const std::vector<svc::JobResult>& results,
-                                  double wall_seconds,
-                                  const svc::JobdReport* jobd) {
+                                  const svc::JobdReport& jobd) {
   MFD_REQUIRE(jobs.size() == results.size(),
               "summarize_campaign(): jobs/results size mismatch");
   CampaignReport report;
   report.campaign = spec.name;
   report.jobs = static_cast<int>(jobs.size());
-  report.wall_seconds = wall_seconds;
-  if (jobd != nullptr) {
-    report.jobs_retried = jobd->metrics.jobs_retried;
-    report.jobs_quarantined = jobd->metrics.jobs_quarantined;
-    report.workers_lost = jobd->metrics.workers_lost;
-    report.jobs_resumed = jobd->jobs_resumed;
-    report.interrupted = jobd->interrupted;
-  }
+  report.metrics = jobd.metrics;
+  report.interrupted = jobd.interrupted;
   std::vector<std::string> chips_seen;
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     const CampaignJob& job = jobs[k];
@@ -253,15 +246,6 @@ CampaignReport summarize_campaign(const CampaignSpec& spec,
         report.valves_max = std::max(report.valves_max, job.valves);
       }
       ++report.chips;
-    }
-    if (result.status.ok()) {
-      ++report.jobs_ok;
-    } else {
-      ++report.jobs_failed;
-      if (result.status.outcome == Outcome::kDeadlineExceeded ||
-          result.status.outcome == Outcome::kCancelled) {
-        ++report.jobs_stopped;
-      }
     }
     report.vectors_total += result.vectors;
     report.faults_total += result.total_faults;
@@ -296,13 +280,13 @@ Json CampaignReport::to_json() const {
   Json out = Json::object();
   out.set("campaign", Json(campaign));
   out.set("jobs", Json(std::int64_t{jobs}));
-  out.set("jobs_ok", Json(std::int64_t{jobs_ok}));
-  out.set("jobs_failed", Json(std::int64_t{jobs_failed}));
-  out.set("jobs_stopped", Json(std::int64_t{jobs_stopped}));
-  out.set("jobs_retried", Json(std::int64_t{jobs_retried}));
-  out.set("jobs_quarantined", Json(std::int64_t{jobs_quarantined}));
-  out.set("workers_lost", Json(std::int64_t{workers_lost}));
-  out.set("jobs_resumed", Json(std::int64_t{jobs_resumed}));
+  out.set("jobs_ok", Json(metrics.jobs_ok));
+  out.set("jobs_failed", Json(metrics.jobs_failed));
+  out.set("jobs_stopped", Json(metrics.jobs_stopped));
+  out.set("jobs_retried", Json(metrics.jobs_retried));
+  out.set("jobs_quarantined", Json(metrics.jobs_quarantined));
+  out.set("workers_lost", Json(metrics.workers_lost));
+  out.set("jobs_resumed", Json(metrics.jobs_resumed));
   out.set("interrupted", Json(interrupted));
   out.set("chips", Json(std::int64_t{chips}));
   out.set("valves_min", Json(std::int64_t{valves_min}));
@@ -311,7 +295,7 @@ Json CampaignReport::to_json() const {
   out.set("faults_total", Json(static_cast<std::int64_t>(faults_total)));
   out.set("faults_detected",
           Json(static_cast<std::int64_t>(faults_detected)));
-  out.set("wall_seconds", Json(wall_seconds));
+  out.set("wall_seconds", Json(metrics.wall_seconds));
   Json rows_json = Json::array();
   for (const CampaignRow& row : rows) {
     Json row_json = Json::object();
@@ -387,8 +371,7 @@ Status run_campaign(const CampaignSpec& spec,
        ++k) {
     out->results[k].run_seconds = out->jobd.job_run_seconds[k];
   }
-  out->report = summarize_campaign(spec, out->jobs, out->results,
-                                   out->jobd.metrics.wall_seconds, &out->jobd);
+  out->report = summarize_campaign(spec, out->jobs, out->results, out->jobd);
   return Status::Ok();
 }
 

@@ -164,7 +164,7 @@ TEST(BatchFaultTest, DetectsRequiresLoadedVector) {
   Rng rng(5);
   const arch::Biochip chip = random_chip(1, rng);
   BatchFaultSimulator batch(chip);
-  EXPECT_THROW(batch.detects(Fault{0, FaultKind::kStuckAt0}), Error);
+  EXPECT_THROW((void)batch.detects(Fault{0, FaultKind::kStuckAt0}), Error);
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(CampaignRunTest, ReportAggregatesTheBatch) {
   const CampaignReport& report = outcome.report;
   EXPECT_EQ(report.campaign, "unit");
   EXPECT_EQ(report.jobs, 5);
-  EXPECT_EQ(report.jobs_ok + report.jobs_failed, 5);
+  EXPECT_EQ(report.metrics.jobs_ok + report.metrics.jobs_failed, 5);
   EXPECT_EQ(report.chips, 3);
   EXPECT_GT(report.valves_min, 0);
   EXPECT_GE(report.valves_max, report.valves_min);
@@ -223,9 +223,9 @@ TEST(CampaignRunTest, JournaledCampaignResumesByteIdentical) {
   CampaignOutcome second;
   ASSERT_TRUE(run_campaign(spec, resumed, &second).ok());
   EXPECT_EQ(second.results_jsonl, oracle.results_jsonl);
-  EXPECT_EQ(second.jobd.jobs_resumed, 5);
+  EXPECT_EQ(second.jobd.metrics.jobs_resumed, 5);
   EXPECT_EQ(second.jobd.journal_appended, 0);
-  EXPECT_EQ(second.report.jobs_resumed, 5);
+  EXPECT_EQ(second.report.metrics.jobs_resumed, 5);
 
   // Truncate the journal to its first 2 records — a run interrupted after
   // two jobs — and resume: exactly the 3 missing jobs are recomputed.
@@ -244,7 +244,7 @@ TEST(CampaignRunTest, JournaledCampaignResumesByteIdentical) {
   CampaignOutcome third;
   ASSERT_TRUE(run_campaign(spec, resumed, &third).ok());
   EXPECT_EQ(third.results_jsonl, oracle.results_jsonl);
-  EXPECT_EQ(third.jobd.jobs_resumed, 2);
+  EXPECT_EQ(third.jobd.metrics.jobs_resumed, 2);
   EXPECT_EQ(third.jobd.journal_appended, 3);
 
   std::error_code ec;
@@ -265,8 +265,8 @@ TEST(CampaignRunTest, StoppedControlDrainsTheCampaignAsInterrupted) {
   // Every job answered (as cancelled), nothing hung, and the report is
   // typed as interrupted with the stopped jobs broken out.
   EXPECT_EQ(outcome.report.jobs, 5);
-  EXPECT_EQ(outcome.report.jobs_ok, 0);
-  EXPECT_EQ(outcome.report.jobs_stopped, 5);
+  EXPECT_EQ(outcome.report.metrics.jobs_ok, 0);
+  EXPECT_EQ(outcome.report.metrics.jobs_stopped, 5);
   EXPECT_TRUE(outcome.report.interrupted);
   EXPECT_TRUE(outcome.jobd.interrupted);
 }

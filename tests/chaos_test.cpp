@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "common/fault_inject.hpp"
+#include "common/json.hpp"
 #include "svc/daemon.hpp"
 #include "svc/job.hpp"
 
@@ -280,6 +281,86 @@ TEST_F(ChaosTest, CampaignCrashThenResumeIsByteIdentical) {
   EXPECT_NE(report.find("\"jobs_resumed\":4"), std::string::npos) << report;
   EXPECT_NE(report.find("\"jobs_retried\""), std::string::npos);
   EXPECT_NE(report.find("\"workers_lost\""), std::string::npos);
+}
+
+TEST_F(ChaosTest, CampaignThroughDaemonMatchesInProcessRun) {
+  // --connect: the in-process run's results bytes and report counters, and
+  // the campaign's own wall time.
+  const fs::path local_out = dir_ / "local.jsonl";
+  const fs::path local_json = dir_ / "local.json";
+  ASSERT_EQ(run_cmd(std::string(MFDFT_CAMPAIGN_BIN) + " --preset smoke --out " +
+                    local_out.string() + " --json " + local_json.string() +
+                    " 2>/dev/null"),
+            0);
+
+  DaemonOptions daemon_options;
+  daemon_options.executors = 2;
+  JobDaemon daemon(daemon_options);
+  ASSERT_TRUE(daemon.start().ok());
+  const fs::path out = dir_ / "connect.jsonl";
+  const fs::path json = dir_ / "connect.json";
+  EXPECT_EQ(run_cmd(std::string(MFDFT_CAMPAIGN_BIN) +
+                    " --preset smoke --connect 127.0.0.1:" +
+                    std::to_string(daemon.port()) + " --out " + out.string() +
+                    " --json " + json.string() + " 2>/dev/null"),
+            0);
+  daemon.stop();
+
+  EXPECT_EQ(read_file(out), read_file(local_out));
+  const Json local = Json::parse(read_file(local_json));
+  const Json remote = Json::parse(read_file(json));
+  EXPECT_GT(remote.at("wall_seconds").as_double(), 0.0);
+  for (const auto& [key, value] : local.as_object()) {
+    if (key == "wall_seconds" || key == "rows") continue;  // wall clocks
+    EXPECT_EQ(remote.at(key).dump(), value.dump()) << key;
+  }
+}
+
+TEST_F(ChaosTest, FailedJobExitsThreeThroughDaemonAsInBatchMode) {
+  {
+    std::ofstream jobs(jobs_path(), std::ios::app);
+    JobSpec spec;
+    spec.id = "no-such-chip";
+    spec.chip = "no_such_chip";  // answered invalid_options
+    jobs << spec.to_json().dump() << '\n';
+  }
+  const fs::path batch_out = dir_ / "batch.jsonl";
+  EXPECT_EQ(run_cmd(std::string(MFDFT_JOBD_BIN) + " --in " +
+                    jobs_path().string() + " --out " + batch_out.string() +
+                    " 2>/dev/null"),
+            3);
+
+  DaemonOptions daemon_options;
+  daemon_options.executors = 2;
+  JobDaemon daemon(daemon_options);
+  ASSERT_TRUE(daemon.start().ok());
+  const fs::path out = dir_ / "connect.jsonl";
+  EXPECT_EQ(run_cmd(std::string(MFDFT_JOBD_BIN) + " --connect 127.0.0.1:" +
+                    std::to_string(daemon.port()) + " --in " +
+                    jobs_path().string() + " --out " + out.string() +
+                    " 2>/dev/null"),
+            3);
+  daemon.stop();
+  EXPECT_EQ(read_file(out), read_file(batch_out));
+}
+
+TEST_F(ChaosTest, MalformedNumericFlagsExitTwo) {
+  // Each value is rejected while the flags are read: nothing starts.
+  const std::string jobd = std::string(MFDFT_JOBD_BIN) + " --in " +
+                           jobs_path().string() + " --out " +
+                           (dir_ / "out.jsonl").string();
+  for (const char* flags :
+       {"--threads 4x", "--threads abc", "--cache-mb 12abc", "--cache-mb -1",
+        "--deadline-s fast", "--deadline-s nan", "--workers 1e3",
+        "--max-attempts 99999999999"}) {
+    EXPECT_EQ(run_cmd(jobd + " " + flags + " 2>/dev/null"), 2) << flags;
+  }
+  const std::string campaign = std::string(MFDFT_CAMPAIGN_BIN) +
+                               " --emit-jobs " + (dir_ / "jobs").string();
+  for (const char* flags : {"--threads x", "--cache-mb 12abc",
+                            "--cache-mb -1", "--workers 2.5"}) {
+    EXPECT_EQ(run_cmd(campaign + " " + flags + " 2>/dev/null"), 2) << flags;
+  }
 }
 
 }  // namespace

@@ -112,11 +112,13 @@ TEST(JobDaemon, RejectsInvalidOptions) {
   DaemonOptions options;
   options.port = -1;
   options.queue_capacity = 0;
+  options.executors = kMaxThreads + 1;  // rejected before any thread starts
   JobDaemon daemon(options);
   const Status status = daemon.start();
   EXPECT_EQ(status.outcome, Outcome::kInvalidOptions);
   EXPECT_NE(status.message.find("port"), std::string::npos);
   EXPECT_NE(status.message.find("queue_capacity"), std::string::npos);
+  EXPECT_NE(status.message.find("executors"), std::string::npos);
 }
 
 TEST(JobDaemon, LoopbackClientMatchesLocalRunByteForByte) {
@@ -139,10 +141,10 @@ TEST(JobDaemon, LoopbackClientMatchesLocalRunByteForByte) {
           << "executors=" << executors << " age_promote_s=" << age_promote_s;
       daemon.stop();
 
-      const DaemonMetrics metrics = daemon.metrics();
+      const ServiceMetrics metrics = daemon.metrics();
       EXPECT_EQ(metrics.clients_served, 1);
-      EXPECT_EQ(metrics.jobs_done, 11);  // 9 + malformed + tail
-      EXPECT_EQ(metrics.jobs_parse_error, 1);
+      EXPECT_EQ(metrics.jobs_total, 11);  // 9 + malformed + tail
+      EXPECT_EQ(metrics.parse_errors, 1);
       EXPECT_EQ(metrics.jobs_admitted, 10);
       EXPECT_EQ(metrics.jobs_shed, 0);
     }
@@ -159,7 +161,7 @@ TEST(JobDaemon, PriorityHintRoutesWholeStreamToBulkClass) {
   // must never leak into result bytes.
   EXPECT_EQ(client_bytes(daemon.port(), jsonl, "bulk"), baseline);
   daemon.stop();
-  const DaemonMetrics metrics = daemon.metrics();
+  const ServiceMetrics metrics = daemon.metrics();
   EXPECT_EQ(metrics.admitted_bulk, 9);
   EXPECT_EQ(metrics.admitted_interactive, 0);
 }
@@ -177,7 +179,7 @@ TEST(JobDaemon, SpecPriorityOverridesHelloHint) {
   ASSERT_TRUE(daemon.start().ok());
   EXPECT_EQ(client_bytes(daemon.port(), jsonl, "bulk"), baseline);
   daemon.stop();
-  const DaemonMetrics metrics = daemon.metrics();
+  const ServiceMetrics metrics = daemon.metrics();
   EXPECT_EQ(metrics.admitted_interactive, 1);
   EXPECT_EQ(metrics.admitted_bulk, 0);
 }
@@ -238,8 +240,8 @@ TEST(JobDaemon, RemoteWorkerOnlyDaemonMatchesLocalRun) {
   worker.join();
 
   EXPECT_EQ(bytes, baseline);
-  const DaemonMetrics metrics = daemon.metrics();
-  EXPECT_EQ(metrics.jobs_done, 9);
+  const ServiceMetrics metrics = daemon.metrics();
+  EXPECT_EQ(metrics.jobs_total, 9);
   EXPECT_EQ(metrics.jobs_remote, 9);
   EXPECT_GE(metrics.workers_joined, 1);
 }
@@ -283,7 +285,7 @@ TEST(JobDaemon, JobLostToACrashedWorkerIsRetriedElsewhere) {
   // After the loss is detected the job is requeued; a healthy worker then
   // joins and completes it — invisibly, as far as result bytes go.
   ASSERT_TRUE(wait_for_metrics(
-      daemon, [](const DaemonMetrics& m) { return m.workers_lost >= 1; }));
+      daemon, [](const ServiceMetrics& m) { return m.workers_lost >= 1; }));
   std::thread worker([port = daemon.port()] {
     (void)run_daemon_worker("127.0.0.1", port, /*connect_attempts=*/3,
                             /*connect_base_s=*/0.01, /*connect_max_s=*/0.05);
@@ -293,11 +295,11 @@ TEST(JobDaemon, JobLostToACrashedWorkerIsRetriedElsewhere) {
   worker.join();
 
   EXPECT_EQ(bytes, baseline);
-  const DaemonMetrics metrics = daemon.metrics();
+  const ServiceMetrics metrics = daemon.metrics();
   EXPECT_EQ(metrics.workers_lost, 1);
   EXPECT_EQ(metrics.jobs_retried, 1);
   EXPECT_EQ(metrics.jobs_quarantined, 0);
-  EXPECT_EQ(metrics.jobs_done, 1);
+  EXPECT_EQ(metrics.jobs_total, 1);
   EXPECT_EQ(metrics.jobs_remote, 1);
 }
 
@@ -357,7 +359,7 @@ TEST(JobDaemon, OverloadShedsWithTypedUnavailableInInputOrder) {
   std::string bytes;
   std::thread client([&] { bytes = client_bytes(daemon.port(), jsonl); });
   ASSERT_TRUE(wait_for_metrics(
-      daemon, [](const DaemonMetrics& m) { return m.jobs_shed >= 2; }));
+      daemon, [](const ServiceMetrics& m) { return m.jobs_shed >= 2; }));
   daemon.stop();
   client.join();
 
@@ -372,10 +374,69 @@ TEST(JobDaemon, OverloadShedsWithTypedUnavailableInInputOrder) {
     EXPECT_EQ(result.status.stage, "admission");
   }
   EXPECT_FALSE(std::getline(lines, line));
-  const DaemonMetrics metrics = daemon.metrics();
+  const ServiceMetrics metrics = daemon.metrics();
   EXPECT_EQ(metrics.jobs_shed, 3);
-  EXPECT_EQ(metrics.jobs_done, 3);
+  EXPECT_EQ(metrics.jobs_total, 3);
   EXPECT_EQ(metrics.clients_served, 1);
+}
+
+TEST(JobDaemon, MixedStreamCountsEveryResultInOneBucket) {
+  // Two jobs park in a queue of two, the third is shed and a malformed line
+  // is answered in place; then a remote worker runs the parked two. Daemon
+  // and client count the same four results, once each.
+  std::string jsonl;
+  for (int i = 0; i < 3; ++i) {
+    JobSpec spec;
+    spec.kind = JobKind::kTestgen;
+    spec.id = "job-" + std::to_string(i);
+    spec.chip = "figure4_chip";
+    jsonl += spec.to_json().dump() + "\n";
+  }
+  jsonl += "{\"kind\": \"nope\"}\n";
+
+  DaemonOptions options = fast_daemon_options();
+  options.executors = 0;  // nothing runs until the worker joins
+  options.queue_capacity = 2;
+  JobDaemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+
+  ServiceMetrics client;
+  Status status;
+  std::thread client_thread([&] {
+    ClientOptions client_options;
+    client_options.port = daemon.port();
+    client_options.connect_base_s = 0.01;
+    std::istringstream in(jsonl);
+    std::ostringstream out;
+    status = run_daemon_client(in, out, client_options, "", false, &client);
+  });
+  EXPECT_TRUE(wait_for_metrics(daemon, [](const ServiceMetrics& m) {
+    return m.jobs_shed == 1 && m.parse_errors == 1;
+  }));
+  std::thread worker([port = daemon.port()] {
+    (void)run_daemon_worker("127.0.0.1", port, /*connect_attempts=*/3,
+                            /*connect_base_s=*/0.01, /*connect_max_s=*/0.05);
+  });
+  client_thread.join();
+  daemon.stop();
+  worker.join();
+  ASSERT_TRUE(status.ok()) << status.to_string();
+
+  const ServiceMetrics metrics = daemon.metrics();
+  EXPECT_EQ(metrics.jobs_total, 4);
+  EXPECT_EQ(metrics.jobs_ok, 2);
+  EXPECT_EQ(metrics.jobs_failed, 2);  // the shed and the parse error
+  EXPECT_EQ(metrics.jobs_ok + metrics.jobs_stopped + metrics.jobs_failed,
+            metrics.jobs_total);
+  EXPECT_EQ(metrics.jobs_admitted, 2);
+  EXPECT_EQ(metrics.jobs_remote, 2);
+  EXPECT_EQ(metrics.clients_served, 1);
+
+  EXPECT_EQ(client.jobs_total, metrics.jobs_total);
+  EXPECT_EQ(client.jobs_ok, metrics.jobs_ok);
+  EXPECT_EQ(client.jobs_stopped, metrics.jobs_stopped);
+  EXPECT_EQ(client.jobs_failed, metrics.jobs_failed);
+  EXPECT_GT(client.wall_seconds, 0.0);
 }
 
 /// Threads of this process (the daemon under test runs in it).
@@ -466,7 +527,7 @@ TEST(JobDaemon, EveryConnectionGetsOneWellFormedResultAndLeavesNothing) {
   EXPECT_LT(vm_size_kb() - before_kb, 64 * 1024);
   daemon.stop();
   EXPECT_EQ(daemon.metrics().clients_served, 408);
-  EXPECT_EQ(daemon.metrics().jobs_done, 408);
+  EXPECT_EQ(daemon.metrics().jobs_total, 408);
 }
 
 TEST(JobDaemon, DeeplyNestedLineGetsAParseResultAndTheDaemonKeepsServing) {
@@ -484,7 +545,7 @@ TEST(JobDaemon, DeeplyNestedLineGetsAParseResultAndTheDaemonKeepsServing) {
   const std::string jsonl = mixed_jobs_jsonl();
   EXPECT_EQ(client_bytes(daemon.port(), jsonl), jobd_baseline(jsonl));
   daemon.stop();
-  EXPECT_EQ(daemon.metrics().jobs_parse_error, 1);
+  EXPECT_EQ(daemon.metrics().parse_errors, 1);
 }
 
 TEST(JobDaemon, OverlongLineDropsOnlyThatConnection) {
@@ -534,7 +595,7 @@ TEST(JobDaemon, AClientThatNeverReadsDelaysNoOtherClient) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
-    const std::int64_t now = daemon.metrics().jobs_parse_error;
+    const std::int64_t now = daemon.metrics().parse_errors;
     if (now > 0 && now == answered) break;
     answered = now;
     std::this_thread::sleep_for(std::chrono::milliseconds(500));

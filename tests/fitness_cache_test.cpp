@@ -390,7 +390,7 @@ TEST(FitnessCacheTest, AbortedEvaluationsAreNeverCached) {
   std::istringstream in(two_codesign_jobs_jsonl());
   std::ostringstream out;
   const svc::JobdReport report = svc::run_jobd(in, out, options);
-  EXPECT_EQ(report.jobs_ok, 0);
+  EXPECT_EQ(report.metrics.jobs_ok, 0);
   EXPECT_EQ(report.metrics.cache_entries, 0);
   EXPECT_TRUE(segments_in(dir.path).empty());
 }

@@ -92,7 +92,7 @@ TEST(GraphTest, DegreeCountsIncidentEdges) {
 TEST(GraphTest, EdgeOtherRejectsForeignNode) {
   Graph g(3);
   const EdgeId e = g.add_edge(0, 1);
-  EXPECT_THROW(g.edge(e).other(2), Error);
+  EXPECT_THROW((void)g.edge(e).other(2), Error);
 }
 
 TEST(EdgeMaskTest, EmptyMaskEnablesEverything) {
@@ -196,7 +196,9 @@ TEST(TraversalTest, WeightedMatchesUnweightedWithUnitWeights) {
       const auto bfs = shortest_path(g, 0, t);
       const auto dij = shortest_path_weighted(g, 0, t, unit);
       ASSERT_EQ(bfs.has_value(), dij.has_value());
-      if (bfs.has_value()) EXPECT_EQ(bfs->length(), dij->length());
+      if (bfs.has_value()) {
+        EXPECT_EQ(bfs->length(), dij->length());
+      }
     }
   }
 }
@@ -368,7 +370,9 @@ TEST(EmptyMaskSemanticsTest, TraversalHelpersTreatEmptyAsAllEnabled) {
       const auto p1 = shortest_path(g, a, b, empty);
       const auto p2 = shortest_path(g, a, b, all);
       ASSERT_EQ(p1.has_value(), p2.has_value());
-      if (p1.has_value()) EXPECT_EQ(p1->length(), p2->length());
+      if (p1.has_value()) {
+        EXPECT_EQ(p1->length(), p2->length());
+      }
       for (EdgeId e = 0; e < g.edge_count(); ++e) {
         EXPECT_EQ(edge_separates(g, e, a, b, empty),
                   edge_separates(g, e, a, b, all));

@@ -31,8 +31,8 @@ TEST(GridTest, CoordinateRoundTrip) {
 
 TEST(GridTest, RejectsOutOfRangeCoordinates) {
   const ConnectionGrid grid(3, 3);
-  EXPECT_THROW(grid.node_at(3, 0), Error);
-  EXPECT_THROW(grid.node_at(0, -1), Error);
+  EXPECT_THROW((void)grid.node_at(3, 0), Error);
+  EXPECT_THROW((void)grid.node_at(0, -1), Error);
 }
 
 TEST(GridTest, RejectsInvalidDimensions) {
@@ -53,9 +53,9 @@ TEST(GridTest, EdgeBetweenNeighbours) {
 
 TEST(GridTest, EdgeBetweenRejectsNonNeighbours) {
   const ConnectionGrid grid(4, 4);
-  EXPECT_THROW(grid.edge_between(0, 0, 2, 0), Error);
-  EXPECT_THROW(grid.edge_between(0, 0, 1, 1), Error);
-  EXPECT_THROW(grid.edge_between(1, 1, 1, 1), Error);
+  EXPECT_THROW((void)grid.edge_between(0, 0, 2, 0), Error);
+  EXPECT_THROW((void)grid.edge_between(0, 0, 1, 1), Error);
+  EXPECT_THROW((void)grid.edge_between(1, 1, 1, 1), Error);
 }
 
 TEST(GridTest, ManhattanDistance) {

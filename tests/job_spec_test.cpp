@@ -57,6 +57,14 @@ TEST(JobSpecValidate, ListsEveryBadFieldInOneStatus) {
   EXPECT_NE(status.message.find("config_pool_size"), std::string::npos);
   EXPECT_NE(status.message.find("deadline_s"), std::string::npos);
   EXPECT_NE(status.message.find("threads"), std::string::npos);
+
+  // Each thread starts an OS thread: a count past the bound is rejected
+  // before any job runs.
+  JobSpec greedy = valid_testgen_spec();
+  greedy.threads = kMaxThreads + 1;
+  const Status bounded = greedy.validate();
+  ASSERT_FALSE(bounded.ok());
+  EXPECT_NE(bounded.message.find("threads"), std::string::npos);
 }
 
 TEST(JobSpecValidate, RejectsBothChipAndChipText) {

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/json.hpp"
 #include "svc/job.hpp"
@@ -53,15 +58,15 @@ TEST(JobdTest, NineJobFileIsByteIdenticalAcrossThreadCounts) {
   std::istringstream in1(input);
   std::ostringstream out1;
   const JobdReport report1 = run_jobd(in1, out1, serial);
-  EXPECT_EQ(report1.jobs_total, 9);
-  EXPECT_EQ(report1.jobs_ok, 9);
+  EXPECT_EQ(report1.metrics.jobs_total, 9);
+  EXPECT_EQ(report1.metrics.jobs_ok, 9);
 
   JobdOptions wide;
   wide.threads = 8;
   std::istringstream in8(input);
   std::ostringstream out8;
   const JobdReport report8 = run_jobd(in8, out8, wide);
-  EXPECT_EQ(report8.jobs_ok, 9);
+  EXPECT_EQ(report8.metrics.jobs_ok, 9);
 
   EXPECT_EQ(out1.str(), out8.str());
 
@@ -85,10 +90,10 @@ TEST(JobdTest, MalformedLinesKeepTheirSlotInTheOutput) {
   std::istringstream in(input);
   std::ostringstream out;
   const JobdReport report = run_jobd(in, out);
-  EXPECT_EQ(report.jobs_total, 4);
-  EXPECT_EQ(report.parse_errors, 2);
-  EXPECT_EQ(report.jobs_ok, 2);
-  EXPECT_EQ(report.jobs_failed, 2);
+  EXPECT_EQ(report.metrics.jobs_total, 4);
+  EXPECT_EQ(report.metrics.parse_errors, 2);
+  EXPECT_EQ(report.metrics.jobs_ok, 2);
+  EXPECT_EQ(report.metrics.jobs_failed, 2);
 
   const std::vector<std::string> lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 4u);
@@ -111,7 +116,7 @@ TEST(JobdTest, BlankLinesAreSkippedWithoutOutput) {
   std::istringstream in(input);
   std::ostringstream out;
   const JobdReport report = run_jobd(in, out);
-  EXPECT_EQ(report.jobs_total, 1);
+  EXPECT_EQ(report.metrics.jobs_total, 1);
   EXPECT_EQ(lines_of(out.str()).size(), 1u);
 }
 
@@ -141,8 +146,8 @@ TEST(JobdTest, DeadlineMidRunLeavesWellFormedStatusAndNoPartialLines) {
   std::istringstream in(input);
   std::ostringstream out;
   const JobdReport report = run_jobd(in, out, options);
-  EXPECT_EQ(report.jobs_total, 4);
-  EXPECT_EQ(report.jobs_stopped, 3);
+  EXPECT_EQ(report.metrics.jobs_total, 4);
+  EXPECT_EQ(report.metrics.jobs_stopped, 3);
 
   const std::string text = out.str();
   ASSERT_FALSE(text.empty());
@@ -158,6 +163,80 @@ TEST(JobdTest, DeadlineMidRunLeavesWellFormedStatusAndNoPartialLines) {
   }
   EXPECT_EQ(Json::parse(lines[3]).at("status").at("outcome").as_string(),
             "ok");
+}
+
+TEST(JobdTest, ResumedBatchReportsTheUninterruptedMetrics) {
+  // A journaled batch resumed after its first three records reports the
+  // metrics of an uninterrupted run: adopted results are tallied like the
+  // ones that ran. (A result's JSON holds four of the EvalStats counters,
+  // not outer/inner_evaluations, so an adopted result carries those four.)
+  namespace fs = std::filesystem;
+  JobSpec codesign;
+  codesign.kind = JobKind::kCodesign;
+  codesign.id = "cd";
+  codesign.chip = "IVD_chip";
+  codesign.assay = "IVD";
+  codesign.outer_iterations = 1;
+  codesign.outer_particles = 1;
+  codesign.config_pool_size = 1;
+  const std::string input =
+      codesign.to_json().dump() + "\n" +
+      job_line(JobKind::kTestgen, "t", "figure4_chip") + "\n" +
+      "{\"kind\": oops\n" +
+      job_line(JobKind::kCoverage, "c", "figure4_chip") + "\n";
+  const auto run = [&input](const JobdOptions& options, std::string* bytes) {
+    std::istringstream in(input);
+    std::ostringstream out;
+    const JobdReport report = run_jobd(in, out, options);
+    *bytes = out.str();
+    return report;
+  };
+  std::string oracle_bytes;
+  const JobdReport oracle = run(JobdOptions{}, &oracle_bytes);
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mfdft_jobd_resume_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  JobdOptions journaled;
+  journaled.journal_dir = dir.string();
+  std::string bytes;
+  (void)run(journaled, &bytes);
+  {
+    // Keep the parse error (journaled first), the codesign and the testgen
+    // record: the batch was interrupted before the coverage job.
+    std::ifstream in(dir / "results.journal", std::ios::binary);
+    const std::string journal((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::size_t end = 0;
+    for (int records = 0; records < 3; ++records) {
+      end = journal.find('\n', end) + 1;
+    }
+    std::ofstream out(dir / "results.journal",
+                      std::ios::binary | std::ios::trunc);
+    out << journal.substr(0, end);
+  }
+  journaled.resume = true;
+  const JobdReport resumed = run(journaled, &bytes);
+  EXPECT_EQ(bytes, oracle_bytes);
+
+  const ServiceMetrics& want = oracle.metrics;
+  const ServiceMetrics& got = resumed.metrics;
+  EXPECT_EQ(want.jobs_resumed, 0);
+  EXPECT_EQ(got.jobs_resumed, 3);
+  EXPECT_EQ(got.jobs_total, 4);
+  EXPECT_EQ(got.jobs_total, want.jobs_total);
+  EXPECT_EQ(got.jobs_ok, want.jobs_ok);
+  EXPECT_EQ(got.jobs_stopped, want.jobs_stopped);
+  EXPECT_EQ(got.jobs_failed, want.jobs_failed);
+  EXPECT_EQ(got.parse_errors, want.parse_errors);
+  EXPECT_GT(want.stats.evaluations, 0);
+  EXPECT_EQ(got.stats.evaluations, want.stats.evaluations);
+  EXPECT_EQ(got.stats.cache_hits, want.stats.cache_hits);
+  EXPECT_EQ(got.stats.scheduler_runs, want.stats.scheduler_runs);
+  EXPECT_EQ(got.stats.testgen_runs, want.stats.testgen_runs);
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

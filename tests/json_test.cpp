@@ -122,11 +122,11 @@ TEST(JsonTest, NonFiniteDoublesCannotSerialize) {
 TEST(JsonTest, AccessorsCheckTypes) {
   const Json value(std::int64_t{3});
   EXPECT_EQ(value.as_double(), 3.0);  // int widens to double
-  EXPECT_THROW(value.as_string(), Error);
-  EXPECT_THROW(value.as_array(), Error);
-  EXPECT_THROW(Json("s").as_int(), Error);
-  EXPECT_THROW(Json::array().at("k"), Error);
-  EXPECT_THROW(Json::object().at("missing"), Error);
+  EXPECT_THROW((void)value.as_string(), Error);
+  EXPECT_THROW((void)value.as_array(), Error);
+  EXPECT_THROW((void)Json("s").as_int(), Error);
+  EXPECT_THROW((void)Json::array().at("k"), Error);
+  EXPECT_THROW((void)Json::object().at("missing"), Error);
   EXPECT_EQ(Json::object().get("missing"), nullptr);
 }
 

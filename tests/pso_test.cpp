@@ -42,7 +42,7 @@ TEST(DecodeIndexTest, ClampsOutOfRangeCoordinates) {
 }
 
 TEST(DecodeIndexTest, RejectsEmptyRange) {
-  EXPECT_THROW(decode_index(0.5, 0), Error);
+  EXPECT_THROW((void)decode_index(0.5, 0), Error);
 }
 
 TEST(PsoTest, MinimizesSphere) {

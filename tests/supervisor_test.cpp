@@ -295,7 +295,7 @@ TEST(SupervisorTest, RunJobdWithWorkersMatchesThreadsByteForByte) {
   std::istringstream in_threads(input);
   std::ostringstream out_threads;
   const JobdReport report_threads = run_jobd(in_threads, out_threads, threads);
-  EXPECT_EQ(report_threads.jobs_ok, 9);
+  EXPECT_EQ(report_threads.metrics.jobs_ok, 9);
 
   JobdOptions workers;
   workers.workers = 2;
@@ -303,7 +303,7 @@ TEST(SupervisorTest, RunJobdWithWorkersMatchesThreadsByteForByte) {
   std::istringstream in_workers(input);
   std::ostringstream out_workers;
   const JobdReport report_workers = run_jobd(in_workers, out_workers, workers);
-  EXPECT_EQ(report_workers.jobs_ok, 9);
+  EXPECT_EQ(report_workers.metrics.jobs_ok, 9);
   EXPECT_EQ(report_workers.metrics.workers_lost, 0);
 
   EXPECT_EQ(out_threads.str(), out_workers.str());
@@ -340,7 +340,7 @@ TEST(SupervisorTest, WorkersShareFitnessCacheThroughDiskTier) {
     std::istringstream in(input);
     std::ostringstream out;
     const JobdReport report = run_jobd(in, out, options);
-    EXPECT_EQ(report.jobs_ok, 2);
+    EXPECT_EQ(report.metrics.jobs_ok, 2);
     return out.str();
   };
 

@@ -34,8 +34,9 @@
 //                      job lines) and run only the rest; --out comes out
 //                      byte-identical to an uninterrupted campaign
 //
-// Exit status: 0 when every job ran OK, 3 when some failed (their Status
-// is in the results), 2 on usage or I/O errors, 4 when the campaign was
+// Exit status: 0 when every job ran OK, 3 when some failed or were stopped
+// (their Status is in the results), 2 on usage errors (a numeric flag must
+// parse whole) or I/O errors, 4 when the campaign was
 // interrupted (SIGINT/SIGTERM drain, or a lost daemon connection with
 // --journal) — rerun with --journal/--resume to finish.
 #include <csignal>
@@ -55,6 +56,7 @@
 #include "net/socket.hpp"
 #include "svc/daemon.hpp"
 #include "workload/campaign.hpp"
+#include "flags.hpp"
 
 namespace {
 
@@ -198,65 +200,38 @@ int main(int argc, char** argv) {
   std::string priority;
   mfd::workload::CampaignRunOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+  mfd::tools::Flags flags(argc, argv);
+  while (flags.next()) {
+    const std::string arg = flags.arg();
+    bool ok = true;
     if (arg == "--spec") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      spec_path = v;
+      ok = flags.take(&spec_path);
     } else if (arg == "--preset") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      preset = v;
+      ok = flags.take(&preset);
     } else if (arg == "--emit-jobs") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      emit_jobs_path = v;
+      ok = flags.take(&emit_jobs_path);
     } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      out_path = v;
+      ok = flags.take(&out_path);
     } else if (arg == "--json") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      json_path = v;
+      ok = flags.take(&json_path);
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.jobd.threads = std::atoi(v);
+      ok = flags.take(&options.jobd.threads);
     } else if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.jobd.workers = std::atoi(v);
+      ok = flags.take(&options.jobd.workers);
     } else if (arg == "--jobd-bin") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      jobd_bin = v;
+      ok = flags.take(&jobd_bin);
     } else if (arg == "--connect") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      connect_spec = v;
+      ok = flags.take(&connect_spec);
     } else if (arg == "--priority") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      priority = v;
+      ok = flags.take(&priority);
     } else if (arg == "--cache-dir") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.jobd.cache_dir = v;
+      ok = flags.take(&options.jobd.cache_dir);
     } else if (arg == "--cache-mb") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.jobd.cache_mb = std::atoi(v);
+      ok = flags.take(&options.jobd.cache_mb);
     } else if (arg == "--no-shared-cache") {
       options.jobd.shared_cache = false;
     } else if (arg == "--journal") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.jobd.journal_dir = v;
+      ok = flags.take(&options.jobd.journal_dir);
     } else if (arg == "--resume") {
       options.jobd.resume = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -265,8 +240,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
 
   if (!spec_path.empty() && !preset.empty()) {
@@ -274,15 +250,18 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  if (options.jobd.threads < 0 || options.jobd.workers < 0 ||
-      options.jobd.cache_mb < 0) {
-    std::fprintf(stderr,
-                 "%s: --threads/--workers/--cache-mb must be >= 0\n",
-                 argv[0]);
-    return 2;
-  }
   if (options.jobd.resume && options.jobd.journal_dir.empty()) {
     std::fprintf(stderr, "%s: --resume requires --journal DIR\n", argv[0]);
+    return 2;
+  }
+  if (options.jobd.workers > 0) {
+    options.jobd.worker_command = {
+        jobd_bin.empty() ? sibling_jobd(argv[0]) : jobd_bin, "--worker"};
+  }
+  const mfd::Status valid_options = options.jobd.validate();
+  if (!valid_options.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0],
+                 valid_options.to_string().c_str());
     return 2;
   }
 
@@ -379,11 +358,9 @@ int main(int argc, char** argv) {
     // MFDFT_FAULT_INJECT names one.
     const mfd::FaultInjectPlan faults = mfd::FaultInjectPlan::from_env();
     client_options.faults = &faults;
-    int result_count = 0;
-    int resumed_count = 0;
     const mfd::Status client_status = mfd::svc::run_daemon_client(
         daemon_in, daemon_out, client_options, options.jobd.journal_dir,
-        options.jobd.resume, &result_count, &resumed_count);
+        options.jobd.resume, &outcome.jobd.metrics);
     if (!client_status.ok()) {
       std::fprintf(stderr, "%s: %s\n", argv[0],
                    client_status.to_string().c_str());
@@ -391,7 +368,6 @@ int main(int argc, char** argv) {
       // campaign is resumable, a typed partial rather than a hard error.
       return options.jobd.journal_dir.empty() ? 2 : 4;
     }
-    outcome.jobd.jobs_resumed = resumed_count;
     outcome.results_jsonl = daemon_out.str();
     std::istringstream results_in(outcome.results_jsonl);
     std::string line;
@@ -412,14 +388,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     outcome.report = mfd::workload::summarize_campaign(
-        spec, outcome.jobs, outcome.results, /*wall_seconds=*/0.0,
-        &outcome.jobd);
+        spec, outcome.jobs, outcome.results, outcome.jobd);
   } else {
-    if (options.jobd.workers > 0) {
-      const std::string bin =
-          jobd_bin.empty() ? sibling_jobd(argv[0]) : jobd_bin;
-      options.jobd.worker_command = {bin, "--worker"};
-    }
     // Graceful drain: SIGINT/SIGTERM stop admission, unstarted jobs come
     // back "cancelled", the journal (if any) stays consistent, exit 4.
     options.jobd.control = &g_campaign_control;
@@ -461,29 +431,17 @@ int main(int argc, char** argv) {
   }
 
   const mfd::workload::CampaignReport& report = outcome.report;
-  std::string recovery_summary;
-  if (report.jobs_retried > 0 || report.jobs_quarantined > 0 ||
-      report.workers_lost > 0 || report.jobs_resumed > 0) {
-    recovery_summary = ", " + std::to_string(report.jobs_retried) +
-                       " retried, " + std::to_string(report.jobs_quarantined) +
-                       " quarantined, " + std::to_string(report.workers_lost) +
-                       " workers lost, " + std::to_string(report.jobs_resumed) +
-                       " resumed";
-  }
   std::fprintf(stderr,
-               "mfdft_campaign: %s: %d chips (%d-%d valves), %d jobs "
-               "(%d ok, %d failed%s), %lld vectors, %lld/%lld faults "
-               "detected, %.2fs wall\n",
+               "mfdft_campaign: %s: %d chips (%d-%d valves), %lld vectors, "
+               "%lld/%lld faults detected; %s\n",
                report.campaign.c_str(), report.chips, report.valves_min,
-               report.valves_max, report.jobs, report.jobs_ok,
-               report.jobs_failed, recovery_summary.c_str(),
-               report.vectors_total, report.faults_detected,
-               report.faults_total, report.wall_seconds);
+               report.valves_max, report.vectors_total, report.faults_detected,
+               report.faults_total, report.metrics.summary().c_str());
   if (report.interrupted) {
     std::fprintf(stderr,
                  "mfdft_campaign: interrupted; rerun with --journal/--resume "
                  "to finish the remaining jobs\n");
     return 4;
   }
-  return report.jobs_ok == report.jobs ? 0 : 3;
+  return report.metrics.jobs_ok == report.jobs ? 0 : 3;
 }

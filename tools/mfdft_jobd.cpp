@@ -60,15 +60,15 @@
 //                        own priority field wins)
 //   --queue-capacity N   daemon admission bound (default 64)
 //
-// Exit status: 0 when every job ran OK, 3 when some jobs failed or were
-// stopped (their Status is in the results file), 2 on usage or I/O errors,
+// Exit status (batch and client mode): 0 when every job ran OK, 3 when some
+// jobs failed or were stopped (their Status is in the results file), 2 on
+// usage errors (a numeric flag must parse whole) or I/O errors,
 // 4 when a SIGINT/SIGTERM drained the batch early (results are complete
 // lines — unstarted jobs report "cancelled" — and, with --journal, the run
 // is resumable with --resume). SIGPIPE is ignored: a closed downstream pipe
 // surfaces as a clean write error on stderr, not a mid-batch kill.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -90,6 +90,7 @@
 #include "svc/daemon.hpp"
 #include "svc/jobd.hpp"
 #include "svc/run_job.hpp"
+#include "flags.hpp"
 
 namespace {
 
@@ -145,79 +146,48 @@ int main(int argc, char** argv) {
   std::string listen_spec;
   std::string connect_spec;
   std::string priority;
-  int queue_capacity = 64;
+  mfd::svc::DaemonOptions daemon_options;
   bool worker_mode = false;
   mfd::svc::JobdOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
+  mfd::tools::Flags flags(argc, argv);
+  while (flags.next()) {
+    const std::string arg = flags.arg();
+    bool ok = true;
     if (arg == "--in") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      in_path = v;
+      ok = flags.take(&in_path);
     } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      out_path = v;
+      ok = flags.take(&out_path);
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.threads = std::atoi(v);
+      ok = flags.take(&options.threads);
     } else if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.workers = std::atoi(v);
+      ok = flags.take(&options.workers);
     } else if (arg == "--stall-timeout-s") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.stall_timeout_s = std::atof(v);
+      ok = flags.take(&options.stall_timeout_s);
     } else if (arg == "--max-attempts") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.max_attempts = std::atoi(v);
+      ok = flags.take(&options.max_attempts);
     } else if (arg == "--deadline-s") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.deadline_s = std::atof(v);
+      ok = flags.take(&options.deadline_s);
     } else if (arg == "--cache-dir") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.cache_dir = v;
+      ok = flags.take(&options.cache_dir);
     } else if (arg == "--cache-mb") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.cache_mb = std::atoi(v);
+      ok = flags.take(&options.cache_mb);
     } else if (arg == "--no-shared-cache") {
       options.shared_cache = false;
     } else if (arg == "--journal") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.journal_dir = v;
+      ok = flags.take(&options.journal_dir);
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--trace") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      trace_path = v;
+      ok = flags.take(&trace_path);
     } else if (arg == "--listen") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      listen_spec = v;
+      ok = flags.take(&listen_spec);
     } else if (arg == "--connect") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      connect_spec = v;
+      ok = flags.take(&connect_spec);
     } else if (arg == "--priority") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      priority = v;
+      ok = flags.take(&priority);
     } else if (arg == "--queue-capacity") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      queue_capacity = std::atoi(v);
+      ok = flags.take(&daemon_options.queue_capacity);
     } else if (arg == "--worker") {
       worker_mode = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -225,14 +195,11 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
-      return usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return usage(argv[0]);
   }
 
-  if (options.cache_mb < 0) {
-    std::fprintf(stderr, "%s: --cache-mb must be >= 0\n", argv[0]);
-    return 2;
-  }
   if (!listen_spec.empty() && !connect_spec.empty()) {
     std::fprintf(stderr, "%s: --listen and --connect are mutually exclusive\n",
                  argv[0]);
@@ -242,20 +209,24 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: --resume requires --journal DIR\n", argv[0]);
     return 2;
   }
+  if (options.workers > 0) {
+    options.worker_command = {self_path(argv[0]), "--worker"};
+  }
+  const mfd::Status valid = options.validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], valid.to_string().c_str());
+    return 2;
+  }
 
   if (!listen_spec.empty()) {
     // Daemon mode: serve clients and remote workers until SIGINT/SIGTERM.
     mfd::net::Endpoint endpoint;
     std::string parse_error;
-    if (!mfd::net::parse_host_port(listen_spec, &endpoint, &parse_error) ||
-        queue_capacity < 1) {
+    if (!mfd::net::parse_host_port(listen_spec, &endpoint, &parse_error)) {
       std::fprintf(stderr, "%s: bad --listen spec '%s': %s\n", argv[0],
-                   listen_spec.c_str(),
-                   queue_capacity < 1 ? "queue capacity must be >= 1"
-                                      : parse_error.c_str());
+                   listen_spec.c_str(), parse_error.c_str());
       return 2;
     }
-    mfd::svc::DaemonOptions daemon_options;
     daemon_options.host = endpoint.host;
     daemon_options.port = endpoint.port;
     // `--threads 0` keeps its CLI meaning (hardware concurrency); the
@@ -263,7 +234,6 @@ int main(int argc, char** argv) {
     daemon_options.executors =
         options.threads == 0 ? mfd::ThreadPool::hardware_threads()
                              : options.threads;
-    daemon_options.queue_capacity = static_cast<std::size_t>(queue_capacity);
     daemon_options.default_deadline_s = options.deadline_s;
     daemon_options.cache_dir = options.cache_dir;
     daemon_options.cache_mb = options.cache_mb;
@@ -282,15 +252,8 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     daemon.stop();
-    const mfd::svc::DaemonMetrics metrics = daemon.metrics();
-    std::fprintf(stderr,
-                 "mfdft_jobd: daemon served %lld clients, %lld jobs "
-                 "(%lld shed, %lld quarantined), %lld remote workers\n",
-                 static_cast<long long>(metrics.clients_served),
-                 static_cast<long long>(metrics.jobs_done),
-                 static_cast<long long>(metrics.jobs_shed),
-                 static_cast<long long>(metrics.jobs_quarantined),
-                 static_cast<long long>(metrics.workers_joined));
+    std::fprintf(stderr, "mfdft_jobd: daemon stopped: %s\n",
+                 daemon.metrics().summary().c_str());
     return 0;
   }
 
@@ -346,20 +309,19 @@ int main(int argc, char** argv) {
     std::istream& client_in = in_path.empty() ? std::cin : client_in_file;
     std::ostream& client_out =
         out_path.empty() ? std::cout : client_out_file;
-    int results = 0;
-    int resumed = 0;
+    mfd::svc::ServiceMetrics metrics;
     const mfd::Status status = mfd::svc::run_daemon_client(
         client_in, client_out, client_options, options.journal_dir,
-        options.resume, &results, &resumed);
+        options.resume, &metrics);
     if (!status.ok()) {
       std::fprintf(stderr, "%s: %s\n", argv[0], status.to_string().c_str());
       // With a journal, a lost connection left every received result
       // durable: the run is resumable, which is exit 4, not a hard 2.
       return options.journal_dir.empty() ? 2 : 4;
     }
-    std::fprintf(stderr, "mfdft_jobd: %d results from %s:%d (%d resumed)\n",
-                 results, endpoint.host.c_str(), endpoint.port, resumed);
-    return 0;
+    std::fprintf(stderr, "mfdft_jobd: %s:%d: %s\n", endpoint.host.c_str(),
+                 endpoint.port, metrics.summary().c_str());
+    return metrics.jobs_ok == metrics.jobs_total ? 0 : 3;
   }
 
   if (worker_mode) {
@@ -376,15 +338,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: worker: write to stdout failed\n", argv[0]);
     }
     return rc;
-  }
-
-  if (options.workers > 0) {
-    options.worker_command = {self_path(argv[0]), "--worker"};
-  }
-  const mfd::Status valid = options.validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], valid.to_string().c_str());
-    return 2;
   }
 
   std::ifstream in_file;
@@ -444,39 +397,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string worker_summary;
-  if (options.workers > 0) {
-    worker_summary = ", " + std::to_string(report.metrics.jobs_retried) +
-                     " retried, " +
-                     std::to_string(report.metrics.jobs_quarantined) +
-                     " quarantined, " +
-                     std::to_string(report.metrics.workers_lost) +
-                     " workers lost";
-  }
-  std::string cache_summary;
-  if (options.shared_cache && options.workers <= 0) {
-    cache_summary =
-        ", cache " + std::to_string(report.metrics.cache_shared_hits) +
-        " shared hits / " + std::to_string(report.metrics.cache_entries) +
-        " entries" +
-        (report.metrics.cache_disk_loaded > 0
-             ? " (" + std::to_string(report.metrics.cache_disk_loaded) +
-                   " warm from disk)"
-             : "");
-  }
   std::string journal_summary;
   if (!options.journal_dir.empty()) {
-    journal_summary = ", journal " +
-                      std::to_string(report.journal_appended) + " appended / " +
-                      std::to_string(report.jobs_resumed) + " resumed";
+    journal_summary =
+        ", journal " + std::to_string(report.journal_appended) + " appended";
   }
-  std::fprintf(stderr,
-               "mfdft_jobd: %d jobs (%d ok, %d stopped, %d failed%s) "
-               "in %.2fs wall, max queue wait %.3fs%s%s\n",
-               report.jobs_total, report.jobs_ok, report.jobs_stopped,
-               report.jobs_failed, worker_summary.c_str(),
-               report.metrics.wall_seconds,
-               report.metrics.queue_wait_seconds_max, cache_summary.c_str(),
+  std::fprintf(stderr, "mfdft_jobd: %s%s\n", report.metrics.summary().c_str(),
                journal_summary.c_str());
   if (!report.cache_persist.ok()) {
     std::fprintf(stderr, "mfdft_jobd: cache persist failed: %s\n",
@@ -488,5 +414,5 @@ int main(int argc, char** argv) {
                  "to finish the remaining jobs\n");
     return 4;
   }
-  return report.jobs_ok == report.jobs_total ? 0 : 3;
+  return report.metrics.jobs_ok == report.metrics.jobs_total ? 0 : 3;
 }
