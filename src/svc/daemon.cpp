@@ -8,21 +8,15 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <ostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/fault_inject.hpp"
 #include "common/json.hpp"
 #include "net/fdstream.hpp"
 #include "net/framed.hpp"
@@ -30,7 +24,6 @@
 #include "net/socket.hpp"
 #include "svc/job.hpp"
 #include "svc/jobd.hpp"
-#include "svc/journal.hpp"
 #include "svc/run_job.hpp"
 
 namespace mfd::svc {
@@ -45,15 +38,6 @@ constexpr std::size_t kMaxUnsentBytes = std::size_t{1} << 20;
 constexpr int kLinesPerTurn = 64;
 /// How long stop() waits for a client that takes none of its last results.
 constexpr int kStopLingerMs = 5000;
-
-/// A result line read back, or nullopt when it does not parse.
-std::optional<JobResult> parse_result(const std::string& line) {
-  try {
-    return JobResult::from_json(Json::parse(line));
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
 
 /// Wakes a poll() on the eventfd `fd`.
 void notify(int fd) {
@@ -362,7 +346,6 @@ struct JobDaemon::Impl {
       task.spec = std::make_shared<const JobSpec>(
           JobSpec::from_json(Json::parse(line)));
     } catch (const std::exception& e) {
-      core.count([](ServiceMetrics& m) { ++m.parse_errors; });
       core.deliver(*peer.session,
                    parse_error_result(task.index, peer.lines, e.what()));
       return;
@@ -435,177 +418,6 @@ void JobDaemon::stop() {
 int JobDaemon::port() const { return impl_->bound_port; }
 
 ServiceMetrics JobDaemon::metrics() const { return impl_->core.metrics(); }
-
-Status run_daemon_client(std::istream& in, std::ostream& out,
-                         const ClientOptions& options,
-                         const std::string& journal_dir, bool resume,
-                         ServiceMetrics* metrics) {
-  const auto start = std::chrono::steady_clock::now();
-  // The client's own tally of every result it writes. A line that is not a
-  // result (nothing the daemon sends) counts as an internal error.
-  ServiceMetrics counted;
-  JobResult garbled;
-  garbled.status = Status::Fail(Outcome::kInternalError, "client",
-                                "unparseable result line");
-
-  // A durable client reads the whole batch first: the journal keys on its
-  // job lines (job i = i-th non-blank line, run_jobd's indexing). Jobs the
-  // journal answers go out *blanked*, not removed, so the daemon's "line N"
-  // numbering matches an uninterrupted run; the daemon answers only
-  // non-blank lines, in order, so arrival n answers job fresh[n].
-  const bool durable = !journal_dir.empty();
-  ResultJournal journal;
-  std::vector<int> fresh;
-  std::size_t jobs = 0;
-  std::istringstream wire;
-  if (durable) {
-    std::vector<std::string> lines;
-    std::vector<std::string> job_lines;
-    std::vector<std::size_t> line_of_job;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!blank(line)) {
-        line_of_job.push_back(lines.size());
-        job_lines.push_back(line);
-      }
-      lines.push_back(line);
-    }
-    const Status opened = journal.open(journal_dir, job_lines, resume);
-    if (!opened.ok()) return opened;
-    for (const auto& [index, payload] : journal.completed()) {
-      counted.tally(parse_result(payload).value_or(garbled));
-      ++counted.jobs_resumed;
-    }
-    jobs = job_lines.size();
-    for (std::size_t i = 0; i < jobs; ++i) {
-      if (journal.completed().count(static_cast<int>(i)) != 0) {
-        lines[line_of_job[i]].clear();
-      } else {
-        fresh.push_back(static_cast<int>(i));
-      }
-    }
-    std::string text;
-    for (const std::string& wire_line : lines) text += wire_line + '\n';
-    wire.str(std::move(text));
-  }
-  std::istream& source = durable ? wire : in;
-
-  std::string error;
-  const int fd = net::tcp_connect_backoff(
-      options.host, options.port, options.connect_attempts,
-      options.connect_base_s, options.connect_max_s, &error);
-  if (fd < 0) {
-    return Status::Fail(Outcome::kUnavailable, "client",
-                        "cannot connect to " + options.host + ":" +
-                            std::to_string(options.port) + ": " + error);
-  }
-  // Two connections over one socket (reader + dup'd writer) so the sender
-  // thread and the result reader never share mutable state.
-  net::FramedConnection reader(fd);
-  net::FramedConnection writer(::dup(fd));
-
-  Json hello = Json::object();
-  hello.set("role", Json(std::string("client")));
-  hello.set("priority", Json(options.priority));
-  if (!writer.write_line(hello.dump())) {
-    return Status::Fail(Outcome::kInternalError, "client",
-                        "daemon hung up during hello: " + writer.last_error());
-  }
-
-  // Sender: every input line verbatim (blank lines included — the daemon
-  // counts them exactly like run_jobd does), then half-close so the daemon
-  // knows the stream is complete.
-  std::thread sender([&source, &writer] {
-    std::string line;
-    while (std::getline(source, line)) {
-      if (!writer.write_line(line)) break;
-    }
-    writer.shutdown_write();
-  });
-
-  // Every durable arrival is journaled (deterministic outcomes only) before
-  // the stream can die, so a connection loss keeps all arrivals and `out`
-  // stays untouched until the batch is provably complete. The daemon
-  // numbers results by *its* stream's non-blank lines, so on a resumed run
-  // the "index" field is patched back to the batch position (re-dumped
-  // through the codec run_jobd emits with; every other byte is unchanged).
-  // An unparseable result line is never journaled — resume recomputes.
-  std::vector<std::string> received;
-  const auto keep = [&](std::string line, std::optional<JobResult>& result) {
-    if (received.size() >= fresh.size()) return;
-    const int index = fresh[received.size()];
-    if (result && result->index != index) {
-      result->index = index;
-      line = result->to_json().dump();
-    }
-    if (result && journal_eligible(result->status.outcome)) {
-      (void)journal.append(index, line);
-    }
-    received.push_back(std::move(line));
-  };
-
-  int results = 0;
-  bool injected_drop = false;
-  std::string line;
-  net::FramedConnection::ReadStatus status;
-  while ((status = reader.read_line(&line)) ==
-         net::FramedConnection::ReadStatus::kLine) {
-    std::optional<JobResult> result = parse_result(line);
-    counted.tally(result.value_or(garbled));
-    if (durable) {
-      keep(line, result);
-    } else {
-      out << line << '\n';
-    }
-    ++results;
-    if (options.faults != nullptr &&
-        options.faults->fires(FaultPoint::kConnDrop, results - 1, 0)) {
-      // Injected partition: kill the socket after this result was fully
-      // delivered (journaled or written). A bare shutdown would read back
-      // as a clean EOF, so the drop is flagged and typed below.
-      ::shutdown(reader.fd(), SHUT_RDWR);
-      injected_drop = true;
-      break;
-    }
-  }
-  out.flush();
-  sender.join();
-  if (injected_drop) {
-    return Status::Fail(Outcome::kInternalError, "client",
-                        "daemon connection lost: injected conn_drop after " +
-                            std::to_string(results) + " results");
-  }
-  if (status == net::FramedConnection::ReadStatus::kError ||
-      reader.partial_bytes() > 0) {
-    return Status::Fail(Outcome::kInternalError, "client",
-                        "daemon connection lost: " + reader.loss_detail());
-  }
-  if (durable && results != static_cast<int>(fresh.size())) {
-    return Status::Fail(Outcome::kInternalError, "client",
-                        "daemon answered " + std::to_string(results) + " of " +
-                            std::to_string(fresh.size()) + " incomplete jobs");
-  }
-  if (durable) {
-    // Merge: journal-adopted bytes verbatim, fresh bytes as received, in
-    // job index order — byte-identical to an uninterrupted run.
-    std::vector<const std::string*> merged(jobs, nullptr);
-    for (const auto& [index, payload] : journal.completed()) {
-      merged[static_cast<std::size_t>(index)] = &payload;
-    }
-    for (std::size_t n = 0; n < received.size(); ++n) {
-      merged[static_cast<std::size_t>(fresh[n])] = &received[n];
-    }
-    for (const std::string* result_line : merged) out << *result_line << '\n';
-    out.flush();
-  }
-  if (metrics != nullptr) {
-    *metrics = counted;
-    metrics->wall_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-  }
-  return Status::Ok();
-}
 
 int run_daemon_worker(const std::string& host, int port, int connect_attempts,
                       double connect_base_s, double connect_max_s,

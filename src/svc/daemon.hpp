@@ -18,6 +18,10 @@
 // parse messages), byte-identical to a local run — regardless of transport,
 // executor count, remote workers, or queue discipline — because results are
 // slotted by each client's own line index before they touch the socket.
+// The client side is run_jobd() itself with JobdOptions::connect set
+// (svc/jobd.hpp): the same journal, resume and ordered merge as a local
+// batch, with one daemon connection running the slots still to run. The
+// daemon stays stateless; resume is entirely client-side.
 //
 // A *worker* (`mfdft_jobd --connect --worker`, possibly on another
 // machine) donates its process to the daemon: it becomes a remote-worker
@@ -41,17 +45,12 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
 #include "common/status.hpp"
 #include "core/fitness_cache.hpp"
 #include "svc/executor.hpp"
-
-namespace mfd {
-class FaultInjectPlan;
-}  // namespace mfd
 
 namespace mfd::svc {
 
@@ -125,51 +124,6 @@ class JobDaemon {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Options for one client run against a daemon.
-struct ClientOptions {
-  std::string host = "127.0.0.1";
-  int port = 0;
-  /// Default scheduling class for this client's jobs ("interactive",
-  /// "bulk", or "" = derive per spec); a spec's own priority field wins.
-  std::string priority;
-  /// Reconnect-with-backoff: connection attempts before giving up, with
-  /// base_s * 2^k sleeps (capped at max_s) between consecutive failures.
-  int connect_attempts = 10;
-  double connect_base_s = 0.05;
-  double connect_max_s = 1.0;
-  /// Chaos plan for network-level points (borrowed, may be null):
-  /// conn_drop@job=N shuts the socket down right after the Nth result line
-  /// was received (and journaled), so the stream dies with a typed
-  /// kInternalError exactly like a real partition.
-  const FaultInjectPlan* faults = nullptr;
-};
-
-/// Streams `in` (JobSpec JSONL, run_jobd()'s input format) to a daemon and
-/// writes the result lines to `out` in input order — the networked
-/// equivalent of run_jobd(in, out). Connects with reconnect-backoff, sends
-/// every input line verbatim (blank lines included, so the daemon's "line
-/// N" parse messages match a local run), half-closes, then drains results.
-/// Fails kUnavailable when no connection could be made, kInternalError
-/// when the daemon vanished mid-stream. On success, *metrics (optional)
-/// receives the client's tally of the results it wrote: adopted ones
-/// counted in jobs_resumed, and its own wall time.
-///
-/// Without a `journal_dir`, input and results stream as they come. With
-/// one, the client is durable: every received result with a deterministic
-/// outcome is journaled (svc/journal.hpp) and, with resume=true, jobs the
-/// journal already answers are skipped — their input lines go out *blank*,
-/// so the daemon's "line N" numbering matches an uninterrupted run — and
-/// stored and fresh lines are merged into `out`, byte-identical to an
-/// uninterrupted run. The daemon stays stateless: resume is entirely
-/// client-side. On a connection loss the journal keeps everything that
-/// arrived and the error is returned (rerun with resume=true to finish);
-/// `out` is only written on success.
-Status run_daemon_client(std::istream& in, std::ostream& out,
-                         const ClientOptions& options,
-                         const std::string& journal_dir = "",
-                         bool resume = false,
-                         ServiceMetrics* metrics = nullptr);
 
 /// Donates this process to a daemon as a remote worker — the networked
 /// `mfdft_jobd --worker`. Connects with reconnect-backoff, sends the

@@ -330,6 +330,7 @@ void ServiceMetrics::tally(const JobResult& result) {
       ++jobs_failed;
       break;
   }
+  if (result.status.stage == "parse") ++parse_errors;
   queue_wait_seconds_total += result.queue_wait_seconds;
   if (result.queue_wait_seconds > queue_wait_seconds_max) {
     queue_wait_seconds_max = result.queue_wait_seconds;

@@ -226,7 +226,8 @@ struct ServiceMetrics {
   /// Deterministic evaluation counters summed over delivered results.
   EvalStats stats;
 
-  /// Counts one delivered result: jobs_total, its outcome bucket, its queue
+  /// Counts one delivered result: jobs_total, its outcome bucket, a parse
+  /// error (stage "parse", which only parse_error_result() sets), its queue
   /// wait and its EvalStats.
   void tally(const JobResult& result);
 

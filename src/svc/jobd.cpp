@@ -1,5 +1,8 @@
 #include "svc/jobd.hpp"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -18,6 +21,8 @@
 #include "common/run_control.hpp"
 #include "common/thread_pool.hpp"
 #include "core/fitness_cache.hpp"
+#include "net/framed.hpp"
+#include "net/socket.hpp"
 #include "svc/executor.hpp"
 #include "svc/job.hpp"
 #include "svc/journal.hpp"
@@ -59,6 +64,126 @@ class BatchSink : public ResultSink {
   std::condition_variable done_;
   std::size_t left_;
 };
+
+/// Who answers a batch slot: a runner, the parser, or the journal.
+enum class Slot : char { kPending, kParseError, kAdopted };
+
+/// A batch, one slot per non-blank input line.
+struct Batch {
+  std::vector<Slot> state;
+  /// Default-constructed for a parse error.
+  std::vector<JobSpec> specs;
+  std::vector<JobResult> results;
+  /// Each slot's output line, once it is answered.
+  std::vector<std::string> bytes;
+  /// Kept for a journal or a daemon: each slot's raw line and its input
+  /// line number.
+  std::vector<std::string> lines;
+  std::vector<int> line_numbers;
+};
+
+/// The hook every answer passes: the result (index = its slot) and its
+/// line bytes.
+using Record = std::function<void(const JobResult&, std::string)>;
+
+/// The daemon runner: one connection answers every slot not adopted. The
+/// job lines go out at their input line numbers, adopted ones blanked, so
+/// the daemon's "line N" numbers and its parse errors match a local run.
+/// The daemon answers its non-blank lines in order, so arrival n answers
+/// the n-th slot sent; a parse-error slot keeps its local answer. Each
+/// pending arrival's bytes are kept, re-dumped only to patch an index that
+/// a blanked line shifted, tallied into *metrics and recorded.
+Status run_on_daemon(const ClientOptions& options, Batch& batch,
+                     const Record& record, const FaultInjectPlan& faults,
+                     ServiceMetrics* metrics) {
+  std::vector<std::size_t> sent;
+  for (std::size_t i = 0; i < batch.state.size(); ++i) {
+    if (batch.state[i] != Slot::kAdopted) sent.push_back(i);
+  }
+  std::string error;
+  const int fd = net::tcp_connect_backoff(
+      options.host, options.port, options.connect_attempts,
+      options.connect_base_s, options.connect_max_s, &error);
+  if (fd < 0) return Status::Fail(Outcome::kUnavailable, "client", error);
+  // Two connections over one socket (reader + dup'd writer) so the sender
+  // thread and the result reader never share mutable state.
+  net::FramedConnection reader(fd);
+  net::FramedConnection writer(::dup(fd));
+  Json hello = Json::object();
+  hello.set("role", Json(std::string("client")));
+  hello.set("priority", Json(options.priority));
+  if (!writer.write_line(hello.dump())) {
+    return Status::Fail(Outcome::kInternalError, "client",
+                        "daemon hung up during hello: " + writer.last_error());
+  }
+  // Sender: every line, then half-close so the daemon knows the stream is
+  // complete. It reads only the batch's lines and states.
+  std::thread sender([&batch, &writer] {
+    const std::string empty;
+    bool ok = true;
+    int line_number = 0;
+    for (std::size_t i = 0; ok && i < batch.lines.size(); ++i) {
+      while (ok && ++line_number < batch.line_numbers[i]) {
+        ok = writer.write_line(empty);
+      }
+      ok = ok && writer.write_line(
+                     batch.state[i] == Slot::kAdopted ? empty : batch.lines[i]);
+    }
+    writer.shutdown_write();
+  });
+
+  std::size_t arrivals = 0;
+  std::string failure;
+  std::string line;
+  net::FramedConnection::ReadStatus status;
+  while ((status = reader.read_line(&line)) ==
+         net::FramedConnection::ReadStatus::kLine) {
+    const std::size_t n = arrivals++;
+    if (n == sent.size()) {
+      failure = "daemon sent more results than jobs";
+    } else if (batch.state[sent[n]] == Slot::kPending) {
+      const int slot = static_cast<int>(sent[n]);
+      try {
+        JobResult result = JobResult::from_json(Json::parse(line));
+        if (result.index != slot) {
+          result.index = slot;
+          line = result.to_json().dump();  // throws on a non-finite number
+        }
+        metrics->tally(result);
+        batch.results[sent[n]] = std::move(result);
+        record(batch.results[sent[n]], std::move(line));
+      } catch (const std::exception& e) {
+        failure = std::string("bad result line from the daemon: ") + e.what();
+      }
+    }
+    if (failure.empty() &&
+        faults.fires(FaultPoint::kConnDrop, static_cast<int>(n), 0)) {
+      // Injected partition: kill the socket after this result was fully
+      // delivered (journaled). A bare shutdown would read back as a clean
+      // EOF, so the drop is typed here.
+      failure = "daemon connection lost: injected conn_drop after " +
+                std::to_string(arrivals) + " results";
+    }
+    if (!failure.empty()) {
+      ::shutdown(reader.fd(), SHUT_RDWR);  // also ends a blocked sender
+      break;
+    }
+  }
+  sender.join();
+  if (failure.empty() && (status == net::FramedConnection::ReadStatus::kError ||
+                          reader.partial_bytes() > 0)) {
+    failure = "daemon connection lost: " + reader.loss_detail();
+  }
+  if (!failure.empty()) {
+    return Status::Fail(Outcome::kInternalError, "client", failure);
+  }
+  if (arrivals != sent.size()) {
+    return Status::Fail(Outcome::kInternalError, "client",
+                        "daemon answered " + std::to_string(arrivals) +
+                            " of " + std::to_string(sent.size()) + " jobs");
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -149,44 +274,46 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
 }
 
 JobdReport run_jobd(std::istream& in, std::ostream& out,
-                    const JobdOptions& options) {
+                    const JobdOptions& options,
+                    std::vector<JobResult>* results_out) {
+  const auto start = std::chrono::steady_clock::now();
   // Phase 1: parse every line up front. Malformed lines keep their slot in
-  // the output (stage "parse") instead of shifting later results. With a
-  // journal the raw line bytes are kept per slot: they key the journal (a
-  // resumed run must prove each record answers *this* batch's line i, parse
-  // errors included).
-  std::vector<JobResult> results;
-  std::vector<JobSpec> specs;  // per slot; default-constructed on parse error
-  std::vector<std::string> raw_lines;
-  std::vector<bool> is_parse_error;
+  // the output (stage "parse") instead of shifting later results. A journal
+  // keys on each slot's raw line (a resumed run must prove each record
+  // answers *this* batch's line i, parse errors included), and a daemon is
+  // sent the raw lines at their line numbers, so either keeps them.
+  const bool keep_lines = !options.journal_dir.empty() || options.connect;
+  Batch batch;
   std::string line;
   int line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (blank(line)) continue;
-    const int index = static_cast<int>(results.size());
-    if (!options.journal_dir.empty()) raw_lines.push_back(line);
+    const int index = static_cast<int>(batch.results.size());
     try {
-      JobSpec spec = JobSpec::from_json(Json::parse(line));
-      results.emplace_back();
-      is_parse_error.push_back(false);
-      specs.push_back(std::move(spec));
+      batch.specs.push_back(JobSpec::from_json(Json::parse(line)));
+      batch.results.emplace_back();
+      batch.state.push_back(Slot::kPending);
     } catch (const std::exception& e) {
-      results.push_back(parse_error_result(index, line_number, e.what()));
-      is_parse_error.push_back(true);
-      specs.emplace_back();
+      batch.specs.emplace_back();
+      batch.results.push_back(parse_error_result(index, line_number, e.what()));
+      batch.state.push_back(Slot::kParseError);
+    }
+    if (keep_lines) {
+      batch.lines.push_back(std::move(line));
+      batch.line_numbers.push_back(line_number);
     }
   }
-
-  JobdReport report;
+  batch.bytes.resize(batch.results.size());
 
   // Durable-execution setup: the journal (when configured) adopts an
   // earlier interrupted run's completed results; the fault plan drives the
-  // driver-level chaos points (daemon_crash / journal_torn_tail).
+  // driver-level chaos points (daemon_crash / journal_torn_tail / conn_drop).
+  JobdReport report;
   ResultJournal journal;
   if (!options.journal_dir.empty()) {
     report.journal_status =
-        journal.open(options.journal_dir, raw_lines, options.resume);
+        journal.open(options.journal_dir, batch.lines, options.resume);
     if (!report.journal_status.ok()) {
       // Durability was requested and cannot be provided; running anyway
       // would silently downgrade the contract. Nothing is emitted.
@@ -202,23 +329,22 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   // for report accounting. A record that cannot be parsed back is dropped
   // and its job recomputed — defense in depth, the checksum already vouches
   // for the bytes.
-  std::vector<bool> adopted(results.size(), false);
   for (const auto& [index, payload] : journal.completed()) {
+    const auto slot = static_cast<std::size_t>(index);
     try {
-      JobResult result = JobResult::from_json(Json::parse(payload));
-      results[static_cast<std::size_t>(index)] = std::move(result);
-      adopted[static_cast<std::size_t>(index)] = true;
+      batch.results[slot] = JobResult::from_json(Json::parse(payload));
+      batch.state[slot] = Slot::kAdopted;
+      batch.bytes[slot] = payload;
     } catch (const std::exception&) {
       // Recompute this job.
     }
   }
-  // Everything below funnels completed results through one hook: journal
-  // the deterministic ones (fsync'd before the batch moves on), then fire
+  // Every answer funnels through one hook: keep its line, journal a
+  // deterministic outcome (fsync'd before the batch moves on), then fire
   // the injected driver crash. May run on executor threads.
   std::mutex journal_failure_mutex;
-  const auto record = [&](const JobResult& result) {
+  const Record record = [&](const JobResult& result, std::string result_line) {
     if (journal.active() && journal_eligible(result.status.outcome)) {
-      const std::string result_line = result.to_json().dump();
       if (faults.fires(FaultPoint::kJournalTornTail, result.index, 0)) {
         (void)journal.append_torn(result.index, result_line);
         std::_Exit(kFaultExitCode);
@@ -229,6 +355,7 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
         if (report.journal_status.ok()) report.journal_status = appended;
       }
     }
+    batch.bytes[static_cast<std::size_t>(result.index)] = std::move(result_line);
     if (faults.fires(FaultPoint::kDaemonCrash, result.index, 0)) {
       std::_Exit(kFaultExitCode);
     }
@@ -237,8 +364,13 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   // Parse errors are final (and deterministic: a resumed run re-reads the
   // same input, so the "line N" messages match); journal them before the
   // batch runs.
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (is_parse_error[i] && !adopted[i]) record(results[i]);
+  std::vector<int> pending;
+  for (std::size_t i = 0; i < batch.state.size(); ++i) {
+    if (batch.state[i] == Slot::kParseError) {
+      record(batch.results[i], batch.results[i].to_json().dump());
+    } else if (batch.state[i] == Slot::kPending) {
+      pending.push_back(static_cast<int>(i));
+    }
   }
 
   // Phase 2: run the well-formed jobs the journal does not answer, in
@@ -246,43 +378,53 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   // the batch index. In-process jobs share one fitness cache; worker
   // batches share through the persistent tier instead (each worker loads
   // cache_dir at startup and appends to it at EOF).
-  std::vector<int> slots;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!is_parse_error[i] && !adopted[i]) slots.push_back(static_cast<int>(i));
+  if (pending.empty()) {
+    // Every slot is answered already (parse errors, a full resume).
+  } else if (options.connect) {
+    report.connection = run_on_daemon(*options.connect, batch, record, faults,
+                                      &report.metrics);
+  } else {
+    std::unique_ptr<core::FitnessCache> cache;
+    if (options.shared_cache && options.workers <= 0) {
+      cache = open_fitness_cache(options.cache_dir, options.cache_mb);
+    }
+    report.metrics = run_batch(
+        batch.specs, pending, batch.results, options, cache.get(),
+        [&record](const JobResult& result) {
+          record(result, result.to_json().dump());
+        });
+    if (cache != nullptr) report.cache_persist = cache->persist();
   }
-  std::unique_ptr<core::FitnessCache> cache;
-  if (options.shared_cache && options.workers <= 0) {
-    cache = open_fitness_cache(options.cache_dir, options.cache_mb);
-  }
-  report.metrics =
-      run_batch(specs, slots, results, options, cache.get(), record);
-  // The slots answered without running count once too.
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!is_parse_error[i] && !adopted[i]) continue;
-    report.metrics.tally(results[i]);
-    if (is_parse_error[i]) ++report.metrics.parse_errors;
-    if (adopted[i]) ++report.metrics.jobs_resumed;
-  }
-  Status cache_persist = Status::Ok();
-  if (cache != nullptr) cache_persist = cache->persist();
+  report.journal_appended = journal.stats().records_appended;
+  // A batch the daemon did not finish is not written: its journal keeps
+  // what arrived for a resumed run.
+  if (!report.connection.ok()) return report;
 
-  // Phase 3: emit. Each line is built whole before it touches the stream,
-  // so there is never a partially written JSONL record. Adopted slots emit
-  // the journal's stored bytes verbatim; everything else is freshly
-  // serialized — the same bytes an uninterrupted run would produce, since
-  // run_job is a pure function of the spec.
-  report.job_run_seconds.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    out << (adopted[i] ? journal.completed().at(static_cast<int>(i))
-                       : results[i].to_json().dump()) +
-               "\n";
-    report.job_run_seconds.push_back(results[i].run_seconds);
+  // The slots answered without running count once too.
+  for (std::size_t i = 0; i < batch.state.size(); ++i) {
+    if (batch.state[i] == Slot::kPending) continue;
+    report.metrics.tally(batch.results[i]);
+    if (batch.state[i] == Slot::kAdopted) ++report.metrics.jobs_resumed;
+  }
+  report.metrics.wall_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count();
+
+  // Phase 3: emit, in batch order. Each line is built whole before it
+  // touches the stream, so there is never a partially written JSONL record.
+  // Adopted slots emit the journal's stored bytes verbatim; everything else
+  // the bytes its answer came with — the same bytes an uninterrupted run
+  // would produce, since run_job is a pure function of the spec.
+  report.job_run_seconds.reserve(batch.results.size());
+  for (std::size_t i = 0; i < batch.results.size(); ++i) {
+    batch.bytes[i] += '\n';
+    out << batch.bytes[i];
+    report.job_run_seconds.push_back(batch.results[i].run_seconds);
   }
   out.flush();
-  report.cache_persist = cache_persist;
-  report.journal_appended = journal.stats().records_appended;
-  report.interrupted =
-      options.control != nullptr && options.control->check() != StopReason::kNone;
+  report.interrupted = !options.connect && options.control != nullptr &&
+                       options.control->check() != StopReason::kNone;
+  if (results_out != nullptr) *results_out = std::move(batch.results);
   return report;
 }
 

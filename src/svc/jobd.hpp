@@ -1,13 +1,23 @@
 // Stream-driven JSONL job driver (the core of the mfdft_jobd tool).
 //
-// run_jobd() reads one JobSpec JSON object per input line, runs the whole
-// batch on the execution core (svc/executor.hpp) — in-process threads, or
-// with workers > 0 crash-isolated worker subprocesses — and writes one
-// JobResult JSON object per line in *input order*: line i of the output
-// always answers line i of the input, even for malformed lines (those come
-// back as kInvalidOptions with stage "parse" instead of aborting the
-// batch). Every output line is assembled in memory and written whole, so a
-// deadline or cancel mid-run can never leave a partial JSONL line behind.
+// run_jobd() is the one durable-batch path. It reads one JobSpec JSON
+// object per input line and writes one JobResult JSON object per line in
+// *input order*: line i of the output always answers line i of the input,
+// even for malformed lines (those come back as kInvalidOptions with stage
+// "parse" instead of aborting the batch). With a journal (svc/journal.hpp)
+// it adopts an earlier run's records, journals every result as it arrives,
+// and merges adopted and fresh lines in batch order. The slots still to run
+// go to one of two runners:
+//
+//   - run_batch(): the execution core (svc/executor.hpp) on in-process
+//     threads or, with workers > 0, crash-isolated worker subprocesses;
+//   - one daemon connection (svc/daemon.hpp) when JobdOptions::connect is
+//     set: the input lines go out verbatim, adopted ones blanked, so the
+//     daemon's "line N" numbers and parse errors match a local run.
+//
+// Output is written only once every slot has its answer, and every line is
+// assembled whole, so a deadline, a cancel or a lost daemon can never leave
+// a partial JSONL line behind.
 //
 // run_worker() is the other side of the worker wire: the loop behind
 // `mfdft_jobd --worker`, reading one request envelope per stdin line and
@@ -20,6 +30,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,6 +44,20 @@ class FaultInjectPlan;
 }  // namespace mfd
 
 namespace mfd::svc {
+
+/// Where a batch goes when it runs on a daemon (`mfdft_jobd --listen`).
+struct ClientOptions {
+  std::string host = "127.0.0.1";
+  int port = 0;
+  /// Default scheduling class for this client's jobs ("interactive",
+  /// "bulk", or "" = derive per spec); a spec's own priority field wins.
+  std::string priority;
+  /// Reconnect-with-backoff: connection attempts before giving up, with
+  /// base_s * 2^k sleeps (capped at max_s) between consecutive failures.
+  int connect_attempts = 10;
+  double connect_base_s = 0.05;
+  double connect_max_s = 1.0;
+};
 
 struct JobdOptions {
   /// Job-level workers, including the calling thread (0 = hardware
@@ -58,7 +83,9 @@ struct JobdOptions {
   /// Losses of a job to crashed workers before it is quarantined as
   /// kUnavailable (>= 1).
   int max_attempts = 3;
-  /// Fault-injection spec forwarded to workers (tests; "" = inherit env).
+  /// Fault-injection plan ("" = MFDFT_FAULT_INJECT): forwarded to workers,
+  /// and the driver's own chaos points (daemon_crash, journal_torn_tail,
+  /// conn_drop) fire from it.
   std::string fault_inject;
 
   /// Share one fitness cache across every codesign job of the batch
@@ -76,8 +103,8 @@ struct JobdOptions {
 
   /// Durable execution (see svc/journal.hpp): directory of the crash-safe
   /// result journal ("" = no journal). Every completed job with a
-  /// deterministic outcome is appended and fsync'd before the batch moves
-  /// on, so a crashed driver loses at most the in-flight jobs.
+  /// deterministic outcome is appended and fsync'd as it arrives, so a
+  /// crashed driver or a lost daemon loses at most the in-flight jobs.
   std::string journal_dir;
   /// With a journal_dir: adopt valid records from an earlier interrupted
   /// run (verified against this batch's spec-line hashes) and re-run only
@@ -89,8 +116,14 @@ struct JobdOptions {
   /// flight are cancelled through their RunControl, jobs already on a
   /// worker process run to completion, unstarted jobs come back
   /// kCancelled, and the report is marked interrupted; journaled results
-  /// stay durable for a --resume rerun.
+  /// stay durable for a --resume rerun. Ignored with `connect`.
   const RunControl* control = nullptr;
+
+  /// Run the batch on a daemon instead of the local execution core (then
+  /// threads, workers and the cache settings are the daemon's business). A
+  /// conn_drop@job=N fault shuts the connection down right after the Nth
+  /// result arrived (and was journaled), like a real partition.
+  std::optional<ClientOptions> connect;
 
   /// All violations in one Status (stage "jobd"), CodesignOptions style.
   [[nodiscard]] Status validate() const;
@@ -100,7 +133,8 @@ struct JobdOptions {
 struct JobdReport {
   /// The whole batch: the jobs this run executed, the parse-error slots
   /// (counted in parse_errors and failed) and the journal-adopted ones
-  /// (counted in jobs_resumed), each tallied once.
+  /// (counted in jobs_resumed), each tallied once, and the batch's wall
+  /// time.
   ServiceMetrics metrics;
   /// Outcome of writing the persistent cache segment at the end of the
   /// batch (kOk when no cache_dir was configured or nothing was new).
@@ -111,12 +145,17 @@ struct JobdReport {
   Status journal_status = Status::Ok();
   /// Records appended to the journal by this run.
   int journal_appended = 0;
+  /// With `connect`: failed when no connection could be made
+  /// (kUnavailable) or the daemon did not answer every job
+  /// (kInternalError). Nothing is written to `out` then; the journal keeps
+  /// every result that arrived.
+  Status connection = Status::Ok();
   /// True when the batch control stopped the run before every job executed
   /// (tools exit with a typed partial status instead of 0/3).
   bool interrupted = false;
   /// Per-job wall time in input order (campaign/bench reporting only —
   /// never serialized into results), as the executing side measured it;
-  /// adopted and parse-error slots are 0.
+  /// adopted, parse-error and daemon-run slots are 0.
   std::vector<double> job_run_seconds;
 };
 
@@ -137,9 +176,12 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
                              on_result = {});
 
 /// Runs every job on `in` (JSONL, one JobSpec per line) and writes one
-/// JobResult JSON line per job to `out`, in input order.
+/// JobResult JSON line per job to `out`, in input order, once the batch is
+/// complete. `results` (may be null) receives the results themselves, in
+/// the same order.
 JobdReport run_jobd(std::istream& in, std::ostream& out,
-                    const JobdOptions& options = {});
+                    const JobdOptions& options = {},
+                    std::vector<JobResult>* results = nullptr);
 
 /// Worker-mode loop: reads one request envelope
 /// ({"job":N,"attempt":A,"spec":{...}}) per line of `in`, runs the job

@@ -329,48 +329,20 @@ Status run_campaign(const CampaignSpec& spec,
 
   // Feed the batch through the exact svc::run_jobd() code path the
   // mfdft_jobd tool uses, so every byte-identity guarantee (threads,
-  // workers, cache on/off) carries over to campaigns unchanged.
+  // workers, cache on/off, a daemon) carries over to campaigns unchanged.
   std::ostringstream jobs_jsonl;
   for (const CampaignJob& job : out->jobs) {
     jobs_jsonl << job.spec.to_json().dump() << '\n';
   }
-  std::istringstream in(jobs_jsonl.str());
+  std::istringstream in(std::move(jobs_jsonl).str());
   std::ostringstream results_stream;
-  out->jobd = svc::run_jobd(in, results_stream, options.jobd);
-  out->results_jsonl = results_stream.str();
-  if (!out->jobd.journal_status.ok()) {
-    // Durability was requested and could not be provided — run_jobd emitted
-    // nothing (journal open failure) or lost a record write mid-batch.
-    return out->jobd.journal_status;
-  }
-
-  // Parse the results back for the report. run_jobd() wrote them itself, so
-  // a parse failure here is a codec bug, not bad user input.
-  out->results.clear();
-  std::istringstream results_in(out->results_jsonl);
-  std::string line;
-  while (std::getline(results_in, line)) {
-    if (line.empty()) continue;
-    try {
-      out->results.push_back(svc::JobResult::from_json(Json::parse(line)));
-    } catch (const std::exception& e) {
-      return Status::Fail(Outcome::kInternalError, "campaign_results",
-                          std::string("unparseable result line: ") + e.what());
-    }
-  }
-  if (out->results.size() != out->jobs.size()) {
-    return Status::Fail(Outcome::kInternalError, "campaign_results",
-                        "result count mismatch: expected " +
-                            std::to_string(out->jobs.size()) + ", got " +
-                            std::to_string(out->results.size()));
-  }
-  // Per-job run times come from the jobd report (the serialized results are
-  // deliberately wall-clock free).
-  for (std::size_t k = 0; k < out->results.size() &&
-                          k < out->jobd.job_run_seconds.size();
-       ++k) {
-    out->results[k].run_seconds = out->jobd.job_run_seconds[k];
-  }
+  out->jobd = svc::run_jobd(in, results_stream, options.jobd, &out->results);
+  out->results_jsonl = std::move(results_stream).str();
+  // Durability was requested and could not be provided (the journal did
+  // not open or lost a record write), or the daemon did not answer every
+  // job: its journal keeps what arrived.
+  if (!out->jobd.journal_status.ok()) return out->jobd.journal_status;
+  if (!out->jobd.connection.ok()) return out->jobd.connection;
   out->report = summarize_campaign(spec, out->jobs, out->results, out->jobd);
   return Status::Ok();
 }

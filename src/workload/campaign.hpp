@@ -4,13 +4,14 @@
 // (workload/family.hpp) with the job kinds to run over every member.
 // expand_campaign() lowers the tiers into an ordinary svc::JobSpec batch —
 // generated chips travel inline as `chip_text`, generated assays as
-// `assay_text` — so the batch runs through the exact same
-// svc::run_jobd()/JobDaemon paths as hand-written job files: in-process
-// threads, crash-isolated workers, or a remote daemon, with the same
-// byte-identical results.jsonl guarantee (campaign jobs carry no deadlines;
-// deadline truncation is wall-clock dependent and would break it).
-// run_campaign() does the whole loop in one call and aggregates the results
-// into a CampaignReport, the payload of BENCH_campaign.json.
+// `assay_text` — so the batch runs through the exact same svc::run_jobd()
+// path as a hand-written job file: in-process threads, crash-isolated
+// workers, or a remote daemon (JobdOptions::connect), journaled and
+// resumable, with the same byte-identical results.jsonl guarantee
+// (campaign jobs carry no deadlines; deadline truncation is wall-clock
+// dependent and would break it). run_campaign() does the whole loop in one
+// call and aggregates the results into a CampaignReport, the payload of
+// BENCH_campaign.json.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +108,7 @@ struct CampaignReport {
   int jobs = 0;
   /// The batch's service metrics (svc/job.hpp): outcome buckets, recovery
   /// counters (retries, quarantines, worker losses, resumed jobs) and wall
-  /// time, as run_jobd() or the daemon client counted them.
+  /// time, as run_jobd() counted them.
   svc::ServiceMetrics metrics;
   /// True when the batch was drained by a stop signal before completing —
   /// the journal (if any) makes the campaign resumable.
@@ -130,8 +131,8 @@ struct CampaignReport {
     const CampaignSpec& spec, const std::vector<CampaignJob>& jobs,
     const std::vector<svc::JobResult>& results, const svc::JobdReport& jobd);
 
-/// How run_campaign() executes the expanded batch (a JobdOptions subset
-/// plus report plumbing).
+/// How run_campaign() executes the expanded batch: locally, or on a daemon
+/// with `jobd.connect`.
 struct CampaignRunOptions {
   svc::JobdOptions jobd;
 };
@@ -141,15 +142,19 @@ struct CampaignOutcome {
   /// Exact bytes svc::run_jobd() wrote — byte-identical across threads,
   /// workers and transports for a fixed spec.
   std::string results_jsonl;
+  /// The results those bytes encode, in batch order, as run_jobd() holds
+  /// them (run_seconds set for the jobs this process ran).
   std::vector<svc::JobResult> results;
   svc::JobdReport jobd;
   CampaignReport report;
 };
 
 /// Expands the spec, runs the batch through svc::run_jobd() with the given
-/// options, and fills `out`. Returns kInvalidOptions on a bad spec,
-/// kInternalError when a result line cannot be parsed back; individual job
-/// failures do not fail the campaign (their Status is in the rows).
+/// options, and fills `out`. Returns kInvalidOptions on a bad spec, the
+/// journal's failure when durability was requested and could not be
+/// provided, and the connection's failure when a daemon did not answer
+/// every job (its journal keeps what arrived); individual job failures do
+/// not fail the campaign (their Status is in the rows).
 [[nodiscard]] Status run_campaign(const CampaignSpec& spec,
                                   const CampaignRunOptions& options,
                                   CampaignOutcome* out);

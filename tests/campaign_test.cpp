@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "common/run_control.hpp"
+#include "svc/daemon.hpp"
 #include "workload/campaign.hpp"
 
 namespace mfd::workload {
@@ -246,6 +247,52 @@ TEST(CampaignRunTest, JournaledCampaignResumesByteIdentical) {
   EXPECT_EQ(third.results_jsonl, oracle.results_jsonl);
   EXPECT_EQ(third.jobd.metrics.jobs_resumed, 2);
   EXPECT_EQ(third.jobd.journal_appended, 3);
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(CampaignRunTest, ThroughDaemonResumesByteIdentical) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("mfdft_campaign_daemon_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  const CampaignSpec spec = small_campaign();
+  CampaignRunOptions local;
+  local.jobd.threads = 1;
+  CampaignOutcome oracle;
+  ASSERT_TRUE(run_campaign(spec, local, &oracle).ok());
+
+  svc::DaemonOptions daemon_options;
+  daemon_options.executors = 2;
+  svc::JobDaemon daemon(daemon_options);
+  ASSERT_TRUE(daemon.start().ok());
+
+  // The connection drops right after the 4th result arrived and was
+  // journaled: a typed failure, and nothing emitted.
+  CampaignRunOptions remote;
+  remote.jobd.connect = svc::ClientOptions{};
+  remote.jobd.connect->port = daemon.port();
+  remote.jobd.journal_dir = dir.string();
+  remote.jobd.fault_inject = "conn_drop@job=3";
+  CampaignOutcome dropped;
+  const Status status = run_campaign(spec, remote, &dropped);
+  EXPECT_EQ(status.outcome, Outcome::kInternalError);
+  EXPECT_EQ(status.stage, "client");
+  EXPECT_EQ(dropped.jobd.journal_appended, 4);
+  EXPECT_TRUE(dropped.results_jsonl.empty());
+
+  // Resumed: the 4 journaled results are adopted and the daemon runs the
+  // fifth job, byte-identical to the in-process run.
+  remote.jobd.fault_inject.clear();
+  remote.jobd.resume = true;
+  CampaignOutcome resumed;
+  ASSERT_TRUE(run_campaign(spec, remote, &resumed).ok());
+  EXPECT_EQ(resumed.results_jsonl, oracle.results_jsonl);
+  EXPECT_EQ(resumed.report.metrics.jobs_resumed, 4);
+  EXPECT_EQ(resumed.jobd.journal_appended, 1);
+  daemon.stop();
 
   std::error_code ec;
   fs::remove_all(dir, ec);

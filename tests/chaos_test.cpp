@@ -344,6 +344,61 @@ TEST_F(ChaosTest, FailedJobExitsThreeThroughDaemonAsInBatchMode) {
   EXPECT_EQ(read_file(out), read_file(batch_out));
 }
 
+TEST_F(ChaosTest, ConnectExitsTwoOnIoErrorsAsBatchModeDoes) {
+  // An output that cannot be written and a journal directory that cannot
+  // be created are I/O errors, exit 2, whether the batch runs locally or on
+  // a daemon, in both tools.
+  DaemonOptions daemon_options;
+  daemon_options.executors = 2;
+  JobDaemon daemon(daemon_options);
+  ASSERT_TRUE(daemon.start().ok());
+  const fs::path not_a_dir = dir_ / "file";
+  std::ofstream(not_a_dir) << "a file, not a directory\n";
+  const std::string bad_journal =
+      " --journal " + (not_a_dir / "journal").string() + " 2>/dev/null";
+  for (const std::string& mode :
+       {std::string(), " --connect 127.0.0.1:" + std::to_string(daemon.port())}) {
+    const std::string jobd =
+        std::string(MFDFT_JOBD_BIN) + mode + " --in " + jobs_path().string();
+    EXPECT_EQ(run_cmd(jobd + " --out /dev/full 2>/dev/null"), 2) << mode;
+    EXPECT_EQ(run_cmd(jobd + " --out " + (dir_ / "out.jsonl").string() +
+                      bad_journal),
+              2)
+        << mode;
+    EXPECT_EQ(run_cmd(std::string(MFDFT_CAMPAIGN_BIN) + " --preset smoke" +
+                      mode + bad_journal),
+              2)
+        << mode;
+  }
+  daemon.stop();
+}
+
+TEST_F(ChaosTest, ConnectResumeOfACompleteJournalNeedsNoDaemon) {
+  const std::string oracle = baseline();
+
+  DaemonOptions daemon_options;
+  daemon_options.executors = 2;
+  JobDaemon daemon(daemon_options);
+  ASSERT_TRUE(daemon.start().ok());
+  const std::string client =
+      std::string(MFDFT_JOBD_BIN) + " --connect 127.0.0.1:" +
+      std::to_string(daemon.port()) + " --in " + jobs_path().string() +
+      " --journal " + journal_dir().string();
+  const fs::path first = dir_ / "first.jsonl";
+  EXPECT_EQ(run_cmd(client + " --out " + first.string() + " 2>/dev/null"), 0);
+  EXPECT_EQ(read_file(first), oracle);
+  EXPECT_EQ(journal_records(journal_dir()), 6);
+  daemon.stop();
+
+  // Every job is journaled, so the resume runs nothing and never connects:
+  // the stopped daemon's port refuses connections.
+  const fs::path resumed = dir_ / "resumed.jsonl";
+  EXPECT_EQ(run_cmd(client + " --resume --out " + resumed.string() +
+                    " 2>/dev/null"),
+            0);
+  EXPECT_EQ(read_file(resumed), oracle);
+}
+
 TEST_F(ChaosTest, MalformedNumericFlagsExitTwo) {
   // Each value is rejected while the flags are read: nothing starts.
   const std::string jobd = std::string(MFDFT_JOBD_BIN) + " --in " +

@@ -73,13 +73,14 @@ std::string jobd_baseline(const std::string& jsonl) {
 std::string client_bytes(int port, const std::string& jsonl,
                          const std::string& priority = "",
                          Status* status_out = nullptr) {
-  ClientOptions options;
-  options.port = port;
-  options.priority = priority;
-  options.connect_base_s = 0.01;
+  JobdOptions options;
+  options.connect = ClientOptions{};
+  options.connect->port = port;
+  options.connect->priority = priority;
+  options.connect->connect_base_s = 0.01;
   std::istringstream in(jsonl);
   std::ostringstream out;
-  const Status status = run_daemon_client(in, out, options);
+  const Status status = run_jobd(in, out, options).connection;
   if (status_out != nullptr) {
     *status_out = status;
   } else {
@@ -403,12 +404,15 @@ TEST(JobDaemon, MixedStreamCountsEveryResultInOneBucket) {
   ServiceMetrics client;
   Status status;
   std::thread client_thread([&] {
-    ClientOptions client_options;
-    client_options.port = daemon.port();
-    client_options.connect_base_s = 0.01;
+    JobdOptions client_options;
+    client_options.connect = ClientOptions{};
+    client_options.connect->port = daemon.port();
+    client_options.connect->connect_base_s = 0.01;
     std::istringstream in(jsonl);
     std::ostringstream out;
-    status = run_daemon_client(in, out, client_options, "", false, &client);
+    const JobdReport report = run_jobd(in, out, client_options);
+    status = report.connection;
+    client = report.metrics;
   });
   EXPECT_TRUE(wait_for_metrics(daemon, [](const ServiceMetrics& m) {
     return m.jobs_shed == 1 && m.parse_errors == 1;
@@ -436,6 +440,7 @@ TEST(JobDaemon, MixedStreamCountsEveryResultInOneBucket) {
   EXPECT_EQ(client.jobs_ok, metrics.jobs_ok);
   EXPECT_EQ(client.jobs_stopped, metrics.jobs_stopped);
   EXPECT_EQ(client.jobs_failed, metrics.jobs_failed);
+  EXPECT_EQ(client.parse_errors, 1);
   EXPECT_GT(client.wall_seconds, 0.0);
 }
 
@@ -634,16 +639,19 @@ TEST(JobDaemon, ClientFailsTypedWhenNoDaemonListens) {
   const int dead_port = net::bound_port(fd);
   ::close(fd);
 
-  ClientOptions options;
-  options.port = dead_port;
-  options.connect_attempts = 2;
-  options.connect_base_s = 0.01;
-  options.connect_max_s = 0.02;
+  JobdOptions options;
+  options.connect = ClientOptions{};
+  options.connect->port = dead_port;
+  options.connect->connect_attempts = 2;
+  options.connect->connect_base_s = 0.01;
+  options.connect->connect_max_s = 0.02;
   std::istringstream in("{}\n");
   std::ostringstream out;
-  const Status status = run_daemon_client(in, out, options);
+  const Status status = run_jobd(in, out, options).connection;
   EXPECT_EQ(status.outcome, Outcome::kUnavailable);
   EXPECT_EQ(status.stage, "client");
+  EXPECT_EQ(status.message.find("cannot connect to"), 0u) << status.message;
+  EXPECT_EQ(status.message.rfind("cannot connect to"), 0u) << status.message;
   EXPECT_TRUE(out.str().empty());
 }
 

@@ -21,7 +21,10 @@
 //   --threads N        in-process job-level workers (0 = hardware)
 //   --workers N        crash-isolated mfdft_jobd worker subprocesses
 //   --jobd-bin PATH    worker binary (default: mfdft_jobd next to this one)
-//   --connect H:P      run the batch through a remote mfdft_jobd daemon
+//   --connect H:P      run the batch on a remote mfdft_jobd daemon (with
+//                      --journal/--resume as in a local run; no drain: a
+//                      signal kills the client, the journal keeps what
+//                      arrived)
 //   --priority CLASS   daemon-client default class (interactive|bulk)
 //   --cache-dir PATH   persistent fitness-cache directory
 //   --cache-mb N       in-memory cache budget in MiB (default 256)
@@ -40,6 +43,7 @@
 // interrupted (SIGINT/SIGTERM drain, or a lost daemon connection with
 // --journal) — rerun with --journal/--resume to finish.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,11 +54,9 @@
 
 #include <unistd.h>
 
-#include "common/fault_inject.hpp"
 #include "common/json.hpp"
 #include "common/run_control.hpp"
 #include "net/socket.hpp"
-#include "svc/daemon.hpp"
 #include "workload/campaign.hpp"
 #include "flags.hpp"
 
@@ -92,97 +94,65 @@ std::string sibling_jobd(const char* argv0) {
   return dir + "/mfdft_jobd";
 }
 
+/// An FPVA tier: `count` grids with rows and columns in [side_min,
+/// side_max], each through testgen, fault simulation and diagnosis over the
+/// leakage fault universe.
+mfd::workload::CampaignTier fpva_tier(int count, std::uint64_t seed,
+                                      int side_min, int side_max, int mixers) {
+  mfd::workload::CampaignTier tier;
+  tier.name = "fpva";
+  tier.family.name = "fpva";
+  tier.family.kind = "fpva";
+  tier.family.count = count;
+  tier.family.seed = seed;
+  tier.family.rows_min = tier.family.cols_min = side_min;
+  tier.family.rows_max = tier.family.cols_max = side_max;
+  tier.family.ports = 4;
+  tier.family.mixers = mixers;
+  tier.family.detectors = 1;
+  tier.kinds = {"testgen", "coverage", "diagnosis"};
+  tier.universe = "stuck_at_leakage";
+  return tier;
+}
+
+/// The codesign tier both presets end with: one synthetic 5x6 chip (dense
+/// full arrays exceed the path ILP's max_paths budget) with light PSO knobs,
+/// so it runs in seconds.
+mfd::workload::CampaignTier codesign_tier() {
+  mfd::workload::CampaignTier tier;
+  tier.name = "codesign";
+  tier.family.name = "synth";
+  tier.family.kind = "synthetic";
+  tier.family.count = 1;
+  tier.family.seed = 11;
+  tier.family.rows_min = tier.family.rows_max = 5;
+  tier.family.cols_min = tier.family.cols_max = 6;
+  tier.family.ports = 3;
+  tier.family.mixers = 2;
+  tier.family.detectors = 1;
+  tier.family.assay_ops_min = 6;
+  tier.family.assay_ops_max = 8;
+  tier.kinds = {"codesign"};
+  tier.outer_iterations = 1;
+  tier.outer_particles = 1;
+  tier.config_pool_size = 1;
+  return tier;
+}
+
 /// Tiny end-to-end family: what CI's campaign-smoke job runs. Small enough
 /// for Debug sanitizer builds, but still FPVA grids + a codesign tier.
 mfd::workload::CampaignSpec smoke_campaign() {
-  mfd::workload::CampaignSpec spec;
-  spec.name = "smoke";
-
-  mfd::workload::CampaignTier fpva;
-  fpva.name = "fpva";
-  fpva.family.name = "fpva";
-  fpva.family.kind = "fpva";
-  fpva.family.count = 2;
-  fpva.family.seed = 7;
-  fpva.family.rows_min = 5;
-  fpva.family.rows_max = 6;
-  fpva.family.cols_min = 5;
-  fpva.family.cols_max = 6;
-  fpva.family.ports = 4;
-  fpva.family.mixers = 1;
-  fpva.family.detectors = 1;
-  fpva.kinds = {"testgen", "coverage", "diagnosis"};
-  fpva.universe = "stuck_at_leakage";
-  spec.tiers.push_back(fpva);
-
-  mfd::workload::CampaignTier codesign;
-  codesign.name = "codesign";
-  codesign.family.name = "synth";
-  codesign.family.kind = "synthetic";
-  codesign.family.count = 1;
-  codesign.family.seed = 11;
-  codesign.family.rows_min = codesign.family.rows_max = 5;
-  codesign.family.cols_min = codesign.family.cols_max = 6;
-  codesign.family.ports = 3;
-  codesign.family.mixers = 2;
-  codesign.family.detectors = 1;
-  codesign.family.assay_ops_min = 6;
-  codesign.family.assay_ops_max = 8;
-  codesign.kinds = {"codesign"};
-  codesign.outer_iterations = 1;
-  codesign.outer_particles = 1;
-  codesign.config_pool_size = 1;
-  spec.tiers.push_back(codesign);
-  return spec;
+  return {.name = "smoke",
+          .tiers = {fpva_tier(2, 7, 5, 6, 1), codesign_tier()}};
 }
 
 /// The acceptance-scale campaign: 8 seeded chips — FPVA grids sweeping
 /// 8x8 to 17x17 (112 to 544 valves) through testgen + fault simulation +
-/// diagnosis, plus a synthetic codesign tier (dense full arrays exceed
-/// the path ILP's max_paths budget, so codesign runs on the synthetic
-/// family; light PSO knobs keep the whole campaign in seconds). No
-/// deadlines anywhere, so results are byte-identical for every
-/// --threads/--workers setting.
+/// diagnosis, plus the codesign tier. No deadlines anywhere, so results
+/// are byte-identical for every --threads/--workers setting.
 mfd::workload::CampaignSpec scale_campaign() {
-  mfd::workload::CampaignSpec spec;
-  spec.name = "scale";
-
-  mfd::workload::CampaignTier fpva;
-  fpva.name = "fpva";
-  fpva.family.name = "fpva";
-  fpva.family.kind = "fpva";
-  fpva.family.count = 7;
-  fpva.family.seed = 2024;
-  fpva.family.rows_min = 8;
-  fpva.family.rows_max = 17;
-  fpva.family.cols_min = 8;
-  fpva.family.cols_max = 17;
-  fpva.family.ports = 4;
-  fpva.family.mixers = 2;
-  fpva.family.detectors = 1;
-  fpva.kinds = {"testgen", "coverage", "diagnosis"};
-  fpva.universe = "stuck_at_leakage";
-  spec.tiers.push_back(fpva);
-
-  mfd::workload::CampaignTier codesign;
-  codesign.name = "codesign";
-  codesign.family.name = "synth";
-  codesign.family.kind = "synthetic";
-  codesign.family.count = 1;
-  codesign.family.seed = 11;
-  codesign.family.rows_min = codesign.family.rows_max = 5;
-  codesign.family.cols_min = codesign.family.cols_max = 6;
-  codesign.family.ports = 3;
-  codesign.family.mixers = 2;
-  codesign.family.detectors = 1;
-  codesign.family.assay_ops_min = 6;
-  codesign.family.assay_ops_max = 8;
-  codesign.kinds = {"codesign"};
-  codesign.outer_iterations = 1;
-  codesign.outer_particles = 1;
-  codesign.config_pool_size = 1;
-  spec.tiers.push_back(codesign);
-  return spec;
+  return {.name = "scale",
+          .tiers = {fpva_tier(7, 2024, 8, 17, 2), codesign_tier()}};
 }
 
 }  // namespace
@@ -327,10 +297,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  mfd::workload::CampaignOutcome outcome;
   if (!connect_spec.empty()) {
-    // Daemon mode: expand locally, stream the batch through the remote
-    // daemon (same JSONL protocol), summarize its byte-identical results.
     mfd::net::Endpoint endpoint;
     std::string parse_error;
     if (!mfd::net::parse_host_port(connect_spec, &endpoint, &parse_error)) {
@@ -338,72 +305,31 @@ int main(int argc, char** argv) {
                    connect_spec.c_str(), parse_error.c_str());
       return 2;
     }
-    const mfd::Status expanded =
-        mfd::workload::expand_campaign(spec, &outcome.jobs);
-    if (!expanded.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], expanded.to_string().c_str());
-      return 2;
-    }
-    std::ostringstream jobs_jsonl;
-    for (const mfd::workload::CampaignJob& job : outcome.jobs) {
-      jobs_jsonl << job.spec.to_json().dump() << '\n';
-    }
-    std::istringstream daemon_in(jobs_jsonl.str());
-    std::ostringstream daemon_out;
-    mfd::svc::ClientOptions client_options;
-    client_options.host = endpoint.host;
-    client_options.port = endpoint.port;
-    client_options.priority = priority;
-    // Chaos plan for client-side network points (conn_drop); inert unless
-    // MFDFT_FAULT_INJECT names one.
-    const mfd::FaultInjectPlan faults = mfd::FaultInjectPlan::from_env();
-    client_options.faults = &faults;
-    const mfd::Status client_status = mfd::svc::run_daemon_client(
-        daemon_in, daemon_out, client_options, options.jobd.journal_dir,
-        options.jobd.resume, &outcome.jobd.metrics);
-    if (!client_status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv[0],
-                   client_status.to_string().c_str());
-      // With a journal, everything received so far is durable — the
-      // campaign is resumable, a typed partial rather than a hard error.
-      return options.jobd.journal_dir.empty() ? 2 : 4;
-    }
-    outcome.results_jsonl = daemon_out.str();
-    std::istringstream results_in(outcome.results_jsonl);
-    std::string line;
-    try {
-      while (std::getline(results_in, line)) {
-        if (line.empty()) continue;
-        outcome.results.push_back(
-            mfd::svc::JobResult::from_json(mfd::Json::parse(line)));
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: unparseable daemon result: %s\n", argv[0],
-                   e.what());
-      return 2;
-    }
-    if (outcome.results.size() != outcome.jobs.size()) {
-      std::fprintf(stderr, "%s: daemon returned %zu results for %zu jobs\n",
-                   argv[0], outcome.results.size(), outcome.jobs.size());
-      return 2;
-    }
-    outcome.report = mfd::workload::summarize_campaign(
-        spec, outcome.jobs, outcome.results, outcome.jobd);
-  } else {
-    // Graceful drain: SIGINT/SIGTERM stop admission, unstarted jobs come
-    // back "cancelled", the journal (if any) stays consistent, exit 4.
+    options.jobd.connect =
+        mfd::svc::ClientOptions{endpoint.host, endpoint.port, priority};
+  }
+  mfd::workload::CampaignOutcome outcome;
+  if (!options.jobd.connect) {
+    // Graceful drain of a local run: SIGINT/SIGTERM stop admission,
+    // unstarted jobs come back "cancelled", the journal (if any) stays
+    // consistent, exit 4. A client is simply killed: its journal keeps
+    // what arrived.
     options.jobd.control = &g_campaign_control;
     std::signal(SIGINT, request_drain);
     std::signal(SIGTERM, request_drain);
-    const mfd::Status run_status =
-        mfd::workload::run_campaign(spec, options, &outcome);
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    if (!run_status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv[0],
-                   run_status.to_string().c_str());
-      return 2;
-    }
+  }
+  const mfd::Status run_status =
+      mfd::workload::run_campaign(spec, options, &outcome);
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  if (!run_status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], run_status.to_string().c_str());
+    // A daemon that did not answer every job left everything that arrived
+    // in the journal: resumable, a typed partial rather than a hard error.
+    const bool resumable = outcome.jobd.journal_status.ok() &&
+                           !outcome.jobd.connection.ok() &&
+                           !options.jobd.journal_dir.empty();
+    return resumable ? 4 : 2;
   }
 
   if (!out_path.empty()) {

@@ -50,11 +50,13 @@
 //                        port (printed to stderr). Runs until SIGINT/
 //                        SIGTERM; --threads sets the executor pool,
 //                        --queue-capacity the admission bound.
-//   --connect HOST:PORT  client mode: stream --in to the daemon, write its
-//                        results (byte-identical to a local run) to --out.
-//                        With --worker: donate this process to the daemon
-//                        as a remote worker instead; reconnects with
-//                        backoff until the daemon is gone.
+//   --connect HOST:PORT  client mode: the batch runs on the daemon instead
+//                        of local threads or workers; --journal/--resume
+//                        and --out behave as in batch mode (results
+//                        byte-identical to a local run, written once the
+//                        batch is complete). With --worker: donate this
+//                        process to the daemon as a remote worker instead;
+//                        reconnects with backoff until the daemon is gone.
 //   --priority CLASS     client mode: default scheduling class for this
 //                        stream's jobs ("interactive" or "bulk"; a spec's
 //                        own priority field wins)
@@ -65,8 +67,11 @@
 // usage errors (a numeric flag must parse whole) or I/O errors,
 // 4 when a SIGINT/SIGTERM drained the batch early (results are complete
 // lines — unstarted jobs report "cancelled" — and, with --journal, the run
-// is resumable with --resume). SIGPIPE is ignored: a closed downstream pipe
-// surfaces as a clean write error on stderr, not a mid-batch kill.
+// is resumable with --resume) or, with --journal, when the daemon did not
+// answer every job (nothing is written; --resume finishes the batch). A
+// client has no drain: a signal kills it, and its journal keeps what
+// arrived. SIGPIPE is ignored: a closed downstream pipe surfaces as a
+// clean write error on stderr, not a mid-batch kill.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -81,7 +86,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/fault_inject.hpp"
 #include "common/run_control.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
@@ -104,7 +108,8 @@ int usage(const char* argv0) {
                "       %s --listen HOST:PORT [--threads N] "
                "[--queue-capacity N] [--deadline-s S] [--cache-dir PATH]\n"
                "       %s --connect HOST:PORT [--in PATH] [--out PATH] "
-               "[--priority interactive|bulk] [--worker]\n",
+               "[--journal DIR] [--resume] [--priority interactive|bulk] "
+               "[--worker]\n",
                argv0, argv0, argv0);
   return 2;
 }
@@ -279,52 +284,10 @@ int main(int argc, char** argv) {
                    served);
       return served > 0 ? 0 : 2;
     }
-    // Client mode: stream --in to the daemon, results to --out.
-    std::ifstream client_in_file;
-    if (!in_path.empty()) {
-      client_in_file.open(in_path);
-      if (!client_in_file) {
-        std::fprintf(stderr, "%s: cannot open input '%s'\n", argv[0],
-                     in_path.c_str());
-        return 2;
-      }
-    }
-    std::ofstream client_out_file;
-    if (!out_path.empty()) {
-      client_out_file.open(out_path);
-      if (!client_out_file) {
-        std::fprintf(stderr, "%s: cannot open output '%s'\n", argv[0],
-                     out_path.c_str());
-        return 2;
-      }
-    }
-    mfd::svc::ClientOptions client_options;
-    client_options.host = endpoint.host;
-    client_options.port = endpoint.port;
-    client_options.priority = priority;
-    // Chaos plan for the client-side network points (conn_drop); inert
-    // unless MFDFT_FAULT_INJECT names one.
-    const mfd::FaultInjectPlan faults = mfd::FaultInjectPlan::from_env();
-    client_options.faults = &faults;
-    std::istream& client_in = in_path.empty() ? std::cin : client_in_file;
-    std::ostream& client_out =
-        out_path.empty() ? std::cout : client_out_file;
-    mfd::svc::ServiceMetrics metrics;
-    const mfd::Status status = mfd::svc::run_daemon_client(
-        client_in, client_out, client_options, options.journal_dir,
-        options.resume, &metrics);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], status.to_string().c_str());
-      // With a journal, a lost connection left every received result
-      // durable: the run is resumable, which is exit 4, not a hard 2.
-      return options.journal_dir.empty() ? 2 : 4;
-    }
-    std::fprintf(stderr, "mfdft_jobd: %s:%d: %s\n", endpoint.host.c_str(),
-                 endpoint.port, metrics.summary().c_str());
-    return metrics.jobs_ok == metrics.jobs_total ? 0 : 3;
-  }
-
-  if (worker_mode) {
+    // Client mode: the batch runs on the daemon.
+    options.connect =
+        mfd::svc::ClientOptions{endpoint.host, endpoint.port, priority};
+  } else if (worker_mode) {
     // Worker-side cache: each worker owns one, warm-loaded from the shared
     // --cache-dir (if any) and persisted at EOF — cross-process sharing is
     // disk-mediated.
@@ -375,11 +338,15 @@ int main(int argc, char** argv) {
 
   std::istream& in = in_path.empty() ? std::cin : in_file;
   std::ostream& out = out_path.empty() ? std::cout : out_file;
-  // Graceful drain: SIGINT/SIGTERM stop admission, complete unstarted jobs
-  // as "cancelled", keep the journal (if any) consistent, and exit 4.
-  options.control = &g_batch_control;
-  std::signal(SIGINT, request_drain);
-  std::signal(SIGTERM, request_drain);
+  // Graceful drain of a local batch: SIGINT/SIGTERM stop admission,
+  // complete unstarted jobs as "cancelled", keep the journal (if any)
+  // consistent, and exit 4. A client is simply killed: its journal keeps
+  // what arrived.
+  if (!options.connect) {
+    options.control = &g_batch_control;
+    std::signal(SIGINT, request_drain);
+    std::signal(SIGTERM, request_drain);
+  }
   const mfd::svc::JobdReport report = mfd::svc::run_jobd(in, out, options);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -387,6 +354,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: journal: %s\n", argv[0],
                  report.journal_status.to_string().c_str());
     return 2;
+  }
+  if (!report.connection.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0],
+                 report.connection.to_string().c_str());
+    // With a journal, everything that arrived is durable: the run is
+    // resumable, which is exit 4, not a hard 2.
+    return options.journal_dir.empty() ? 2 : 4;
   }
   // run_jobd flushes; a bad stream here means results were lost downstream
   // (file error or a closed pipe) — fail loudly rather than exit 0 on a
