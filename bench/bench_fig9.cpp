@@ -11,8 +11,9 @@
 // fitness-cache hit rate alongside the curves.
 //
 // Environment: MFDFT_BENCH_FULL=1 runs the paper's 100 iterations; the
-// default is 40 to keep the bench suite fast. MFDFT_BENCH_THREADS sets the
-// parallel thread count (default: all hardware threads).
+// default is 25 (MFDFT_BENCH_ITERATIONS) to keep the bench suite fast.
+// MFDFT_BENCH_THREADS sets the parallel thread count (default: all
+// hardware threads).
 #include <algorithm>
 #include <cstdio>
 
@@ -24,9 +25,7 @@
 
 int main() {
   using namespace mfd;
-  const int iterations = bench::env_flag("MFDFT_BENCH_FULL")
-                             ? 100
-                             : bench::env_int("MFDFT_BENCH_ITERATIONS", 25);
+  const int iterations = bench::outer_iterations(25);
   const int threads = bench::bench_threads() == 0
                           ? ThreadPool::hardware_threads()
                           : bench::bench_threads();

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
   const std::string json_path = bench::json_path(argc, argv);
   const int iterations = bench::outer_iterations(12);
   const int threads = bench::bench_threads();
-  const double deadline_s = bench::env_double("MFDFT_BENCH_DEADLINE_S", 0.0);
+  const double deadline_s =
+      bench::env_number("MFDFT_BENCH_DEADLINE_S", 0.0, 0.0);
   const char* chip_filter = std::getenv("MFDFT_BENCH_CHIP");
   std::printf("Table 1: Results of DFT Augmentation "
               "(outer PSO iterations = %d, threads = %s)\n\n",

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "arch/chips.hpp"
+#include "flags.hpp"
 #include "sched/assay.hpp"
 
 namespace mfd::bench {
@@ -29,30 +30,29 @@ inline std::string json_path(int argc, char** argv) {
   return path;
 }
 
-/// Reads a positive integer from the environment, else the default. The
-/// reproduction binaries honour:
-///   MFDFT_BENCH_ITERATIONS — outer PSO iterations (Table 1)
-///   MFDFT_BENCH_FULL=1     — paper-scale settings (100 iterations)
-inline int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
+/// Whether environment knob `name` is set to something other than "" or
+/// "0" (MFDFT_BENCH_FULL=1 — paper-scale settings, 100 iterations).
 inline bool env_flag(const char* name) {
   const char* value = std::getenv(name);
   return value != nullptr && std::string(value) != "0" &&
          std::string(value) != "";
 }
 
-/// Reads a positive double from the environment, else the default. Used for
-///   MFDFT_BENCH_DEADLINE_S — per-combination run deadline (0 = none).
-inline double env_double(const char* name, double fallback) {
+/// Environment knob `name` as a number of at least `min`, or `fallback`
+/// when it is unset or empty. A value that does not parse whole ("1O",
+/// "two") or lies below `min` exits 2 naming the knob. The reproduction
+/// binaries read MFDFT_BENCH_ITERATIONS, MFDFT_BENCH_THREADS and
+/// MFDFT_BENCH_DEADLINE_S (per-combination run deadline, 0 = none).
+template <typename T>
+T env_number(const char* name, T fallback, T min) {
   const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  const double parsed = std::atof(value);
-  return parsed > 0.0 ? parsed : fallback;
+  if (value == nullptr || *value == '\0') return fallback;
+  T parsed = fallback;
+  if (!tools::parse_whole(value, &parsed) || parsed < min) {
+    std::fprintf(stderr, "bad value '%s' for %s\n", value, name);
+    std::exit(2);
+  }
+  return parsed;
 }
 
 /// Outer PSO iterations for codesign benches: the paper uses 100; the
@@ -60,18 +60,13 @@ inline double env_double(const char* name, double fallback) {
 /// laptop. Set MFDFT_BENCH_FULL=1 for the paper-scale run.
 inline int outer_iterations(int reduced_default) {
   if (env_flag("MFDFT_BENCH_FULL")) return 100;
-  return env_int("MFDFT_BENCH_ITERATIONS", reduced_default);
+  return env_number("MFDFT_BENCH_ITERATIONS", reduced_default, 1);
 }
 
 /// Evaluation threads for codesign benches: MFDFT_BENCH_THREADS, where 0
 /// (the default) means all hardware threads. Results are identical for every
 /// value; only the wall clock changes.
-inline int bench_threads() {
-  const char* value = std::getenv("MFDFT_BENCH_THREADS");
-  if (value == nullptr) return 0;
-  const int parsed = std::atoi(value);
-  return parsed >= 0 ? parsed : 0;
-}
+inline int bench_threads() { return env_number("MFDFT_BENCH_THREADS", 0, 0); }
 
 struct Combination {
   arch::Biochip chip;

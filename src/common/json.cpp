@@ -292,7 +292,10 @@ class Parser {
       }
       // Integer overflow: fall through to double.
     }
+    // A value no double holds (1e999, a 400-digit integer) would come back
+    // as an infinity that dump() refuses, so it fails here, as a parse.
     const double parsed = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(parsed)) fail("number out of range");
     return Json(parsed);
   }
 

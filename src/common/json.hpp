@@ -95,8 +95,9 @@ class Json {
 
   /// Strict parse of exactly one JSON value (trailing whitespace allowed,
   /// anything else rejected). Errors throw mfd::Error with 1-based
-  /// line:column and the offending token; so does nesting deeper than 256
-  /// arrays/objects.
+  /// line:column and the offending token; so do nesting deeper than 256
+  /// arrays/objects and a number no finite double holds, so every parsed
+  /// value dumps again.
   static Json parse(const std::string& text);
 
  private:

@@ -20,6 +20,7 @@
 // set_* configuration and report_progress() belong to the (serial) driver.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -30,6 +31,18 @@
 #include "common/trace.hpp"
 
 namespace mfd {
+
+/// Longest deadline a run takes, in seconds (a year). Job specs and the
+/// batch and daemon options reject longer ones, and set_timeout() clamps
+/// to it, so the deadline arithmetic cannot overflow steady_clock.
+inline constexpr double kMaxDeadlineS = 86400.0 * 365.0;
+
+/// Whether `seconds` is a deadline a run takes (0 = none), and what a
+/// validate() message says after the field's name when it is not.
+[[nodiscard]] inline bool valid_deadline(double seconds) {
+  return seconds >= 0.0 && seconds <= kMaxDeadlineS;
+}
+inline constexpr char kDeadlineRange[] = " must be in [0, 31536000] seconds";
 
 enum class StopReason {
   kNone = 0,
@@ -61,11 +74,12 @@ class RunControl {
     deadline_ = deadline;
     has_deadline_ = true;
   }
-  /// Convenience: deadline = now + seconds.
+  /// Convenience: deadline = now + seconds (at most kMaxDeadlineS).
   void set_timeout(double seconds) {
     set_deadline(std::chrono::steady_clock::now() +
                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(seconds)));
+                     std::chrono::duration<double>(
+                         std::min(seconds, kMaxDeadlineS))));
   }
   [[nodiscard]] bool has_deadline() const { return has_deadline_; }
 

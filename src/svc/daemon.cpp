@@ -162,7 +162,8 @@ Status DaemonOptions::validate() const {
   flag(executors < 0 || executors > kMaxThreads,
        "executors must be in [0, " + std::to_string(kMaxThreads) + "]");
   flag(queue_capacity == 0, "queue_capacity must be >= 1");
-  flag(default_deadline_s < 0.0, "default_deadline_s must be >= 0");
+  flag(!valid_deadline(default_deadline_s),
+       std::string("default_deadline_s") + kDeadlineRange);
   flag(cache_mb < 0, "cache_mb must be >= 0");
   flag(max_attempts < 1, "max_attempts must be >= 1");
   flag(backoff_base_s < 0.0, "backoff_base_s must be >= 0");
@@ -419,15 +420,13 @@ int JobDaemon::port() const { return impl_->bound_port; }
 
 ServiceMetrics JobDaemon::metrics() const { return impl_->core.metrics(); }
 
-int run_daemon_worker(const std::string& host, int port, int connect_attempts,
-                      double connect_base_s, double connect_max_s,
-                      core::FitnessCache* cache) {
+int run_daemon_worker(const ClientOptions& daemon, core::FitnessCache* cache) {
   int served = 0;
   for (;;) {
     std::string error;
-    const int fd = net::tcp_connect_backoff(host, port, connect_attempts,
-                                            connect_base_s, connect_max_s,
-                                            &error);
+    const int fd = net::tcp_connect_backoff(
+        daemon.host, daemon.port, daemon.connect_attempts,
+        daemon.connect_base_s, daemon.connect_max_s, &error);
     if (fd < 0) break;  // the daemon is gone for good
     Json hello = Json::object();
     hello.set("role", Json(std::string("worker")));

@@ -51,6 +51,7 @@
 #include "common/status.hpp"
 #include "core/fitness_cache.hpp"
 #include "svc/executor.hpp"
+#include "svc/jobd.hpp"
 
 namespace mfd::svc {
 
@@ -75,7 +76,8 @@ struct DaemonOptions {
   std::size_t queue_capacity = 64;
   double age_promote_s = 5.0;
 
-  /// Deadline applied to jobs whose spec has none (0 = none).
+  /// Deadline applied to jobs whose spec has none (0 = none, at most
+  /// kMaxDeadlineS).
   double default_deadline_s = 0.0;
 
   /// Warm fitness cache shared by every job the daemon runs: optional
@@ -125,15 +127,15 @@ class JobDaemon {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Donates this process to a daemon as a remote worker — the networked
-/// `mfdft_jobd --worker`. Connects with reconnect-backoff, sends the
-/// worker hello, then serves run_worker() over the socket until the daemon
-/// hangs up; reconnects and keeps serving until a connection cannot be
-/// made within `connect_attempts` tries (a stopped daemon ends the loop).
-/// `cache` is the worker's fitness cache (borrowed, may be null).
-/// Returns the number of connections served.
-int run_daemon_worker(const std::string& host, int port, int connect_attempts,
-                      double connect_base_s, double connect_max_s,
+/// Donates this process to the daemon at `daemon` as a remote worker — the
+/// networked `mfdft_jobd --worker`. Connects with the options'
+/// reconnect-backoff, sends the worker hello, then serves run_worker() over
+/// the socket until the daemon hangs up; reconnects and keeps serving until
+/// a connection cannot be made within `connect_attempts` tries (a stopped
+/// daemon ends the loop). The priority is unused. `cache` is the worker's
+/// fitness cache (borrowed, may be null). Returns the number of connections
+/// served.
+int run_daemon_worker(const ClientOptions& daemon,
                       core::FitnessCache* cache = nullptr);
 
 }  // namespace mfd::svc

@@ -19,8 +19,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kBackoffSeed = 2024;
-/// Cap on a stall timeout's deadline arithmetic (a year).
-constexpr double kMaxWaitS = 86400.0 * 365.0;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -284,7 +282,7 @@ ExecutionCore::Shipment ExecutionCore::ship(Link& link, const Task& task,
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(
-                             std::min(stall_s, kMaxWaitS)));
+                             std::min(stall_s, kMaxDeadlineS)));
   net::FramedConnection& conn = link.results();
   std::string line;
   for (;;) {

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "common/run_control.hpp"
 
 namespace mfd::svc {
 
@@ -132,7 +133,8 @@ Status JobSpec::validate() const {
   }
   flag(universe != "stuck_at" && universe != "stuck_at_leakage",
        "universe must be 'stuck_at' or 'stuck_at_leakage'");
-  flag(deadline_s < 0.0, "deadline_s must be >= 0");
+  flag(!valid_deadline(deadline_s),
+       std::string("deadline_s") + kDeadlineRange);
   flag(threads < 0 || threads > kMaxThreads,
        "threads must be in [0, " + std::to_string(kMaxThreads) + "]");
   if (!priority.empty()) {

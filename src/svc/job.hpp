@@ -89,8 +89,8 @@ struct JobSpec {
   /// "stuck_at_leakage".
   std::string universe = "stuck_at";
 
-  /// Per-job deadline in seconds (0 = none). The executor arms a dedicated
-  /// RunControl with it when the job starts.
+  /// Per-job deadline in seconds (0 = none, at most kMaxDeadlineS). The
+  /// executor arms a dedicated RunControl with it when the job starts.
   double deadline_s = 0.0;
   /// Evaluation threads *within* the job (codesign fitness pipeline);
   /// results are identical for every value. 0 = hardware concurrency; at

@@ -196,7 +196,8 @@ Status JobdOptions::validate() const {
   };
   const std::string bound = ", " + std::to_string(kMaxThreads) + "]";
   flag(threads < 0 || threads > kMaxThreads, "threads must be in [0" + bound);
-  flag(deadline_s < 0.0, "deadline_s must be >= 0");
+  flag(!valid_deadline(deadline_s),
+       std::string("deadline_s") + kDeadlineRange);
   flag(workers < 0 || workers > kMaxThreads, "workers must be in [0" + bound);
   flag(workers > 0 && worker_command.empty(),
        "worker_command must not be empty when workers > 0");

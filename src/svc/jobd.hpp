@@ -65,7 +65,7 @@ struct JobdOptions {
   /// every value.
   int threads = 1;
   /// Default per-job deadline in seconds applied to jobs whose spec has
-  /// none (0 = no default).
+  /// none (0 = no default, at most kMaxDeadlineS).
   double deadline_s = 0.0;
   /// Optional tracer: one span per job plus service-level counters at the
   /// end of the batch. Borrowed.

@@ -2,14 +2,21 @@
 // synthetic chips and random vectors, BatchFaultSimulator and the packed
 // compute_signatures() matrix must be bit-identical to the naive
 // PressureSimulator oracle for every fault kind — stuck-at readings at the
-// meter and leakage observations at the control port alike.
+// meter and leakage observations at the control port alike. Coverage is
+// also checked on the generated suites of the paper chips and two FPVAs.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "arch/chips.hpp"
 #include "arch/synthetic.hpp"
 #include "common/rng.hpp"
 #include "common/run_control.hpp"
 #include "sim/batch_fault.hpp"
 #include "sim/pressure.hpp"
+#include "testgen/vector_gen.hpp"
+#include "workload/fpva.hpp"
 
 namespace mfd::sim {
 namespace {
@@ -112,10 +119,33 @@ TEST(BatchFaultTest, LanePackingBeyond64Vectors) {
 }
 
 TEST(BatchFaultTest, CoverageMatchesNaiveBruteForce) {
+  // Random vectors on three random chips, then the multiport suites the
+  // DFT flow produces: the three paper chips' and those of the 6x6 and 8x8
+  // FPVAs (seed 2024, 4 ports, 2 mixers, 1 detector).
+  std::vector<std::pair<arch::Biochip, std::vector<TestVector>>> cases;
   for (int seed : {2, 5, 8}) {
     Rng rng(static_cast<std::uint64_t>(seed) * 677 + 13);
-    const arch::Biochip chip = random_chip(seed, rng);
-    const auto vectors = random_vectors(chip, 8, rng);
+    arch::Biochip chip = random_chip(seed, rng);
+    std::vector<TestVector> vectors = random_vectors(chip, 8, rng);
+    cases.emplace_back(std::move(chip), std::move(vectors));
+  }
+  std::vector<arch::Biochip> suite_chips = arch::make_paper_chips();
+  for (const int side : {6, 8}) {
+    workload::FpvaSpec spec;
+    spec.rows = spec.cols = side;
+    spec.ports = 4;
+    spec.mixers = 2;
+    spec.detectors = 1;
+    spec.seed = 2024;
+    suite_chips.push_back(workload::make_fpva_chip(spec));
+  }
+  for (arch::Biochip& chip : suite_chips) {
+    const auto suite = testgen::generate_test_suite_multiport(chip);
+    ASSERT_TRUE(suite.has_value()) << chip.name();
+    cases.emplace_back(std::move(chip), suite->vectors);
+  }
+
+  for (const auto& [chip, vectors] : cases) {
     for (const FaultUniverse universe :
          {FaultUniverse::kStuckAt, FaultUniverse::kStuckAtAndLeakage}) {
       const CoverageReport report =
@@ -140,9 +170,10 @@ TEST(BatchFaultTest, CoverageMatchesNaiveBruteForce) {
         }
       }
       EXPECT_EQ(report.total_faults,
-                static_cast<int>(all_faults(chip, universe).size()));
-      EXPECT_EQ(report.detected_faults, detected);
-      EXPECT_EQ(report.undetected, undetected);
+                static_cast<int>(all_faults(chip, universe).size()))
+          << chip.name();
+      EXPECT_EQ(report.detected_faults, detected) << chip.name();
+      EXPECT_EQ(report.undetected, undetected) << chip.name();
     }
   }
 }

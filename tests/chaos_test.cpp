@@ -6,12 +6,14 @@
 // run, re-executing only the jobs the journal does not already answer.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -210,39 +212,59 @@ TEST_F(ChaosTest, DroppedDaemonConnectionResumesByteIdentical) {
 TEST_F(ChaosTest, SigtermDrainsTypedAndResumesByteIdentical) {
   const std::string oracle = baseline();
 
-  // Run the batch as a child and SIGTERM it mid-flight: the driver must
-  // drain (typed exit 4), not die — unstarted jobs come back "cancelled",
-  // everything journaled stays durable.
+  // Run the batch as a child on one worker process that wedges on job 3:
+  // jobs 0..2 complete and are journaled in order, and job 3 cannot finish
+  // before the SIGTERM lands. The driver must drain (typed exit 4), not
+  // die: the stall watchdog kills the wedged worker, job 3 and the
+  // unstarted jobs come back "cancelled", and the journal keeps jobs 0..2.
   const fs::path out = dir_ / "results.jsonl";
+  ::setenv(kFaultInjectEnv, "worker_stall@job=3", 1);
   const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
   if (child == 0) {
+    // Its own process group, so a driver that dies instead of draining
+    // cannot leave the wedged worker behind.
+    ::setpgid(0, 0);
     const std::string in = jobs_path().string();
     const std::string out_str = out.string();
     const std::string journal = journal_dir().string();
     ::execl(MFDFT_JOBD_BIN, MFDFT_JOBD_BIN, "--in", in.c_str(), "--out",
-            out_str.c_str(), "--journal", journal.c_str(), "--threads", "1",
-            static_cast<char*>(nullptr));
+            out_str.c_str(), "--journal", journal.c_str(), "--workers", "1",
+            "--stall-timeout-s", "1", static_cast<char*>(nullptr));
     ::_exit(127);
   }
-  // Let some jobs complete, then ask for the drain.
-  ::usleep(400 * 1000);
+  ::unsetenv(kFaultInjectEnv);
+  ASSERT_GT(child, 0);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (journal_records(journal_dir()) < 3 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(journal_records(journal_dir()), 3);
   ASSERT_EQ(::kill(child, SIGTERM), 0);
   int wait_status = 0;
   ASSERT_EQ(::waitpid(child, &wait_status, 0), child);
+  (void)::kill(-child, SIGKILL);
   ASSERT_TRUE(WIFEXITED(wait_status));
-  // 4 = interrupted (the expected path); 0 = the batch won the race and
-  // finished before the signal landed — legal, just not interesting.
-  const int drained = WEXITSTATUS(wait_status);
-  ASSERT_TRUE(drained == 4 || drained == 0) << "exit " << drained;
+  EXPECT_EQ(WEXITSTATUS(wait_status), 4);
 
-  if (drained == 4) {
-    // The drained run emitted a full results file with "cancelled" rows;
-    // resume replaces them with real results, byte-identical to the oracle.
-    EXPECT_NE(read_file(out), oracle);
-    const int resumed = run_jobd_tool(out, "", "--threads 1 --resume");
-    EXPECT_EQ(resumed, 0);
+  // The drained run emitted a full results file with "cancelled" rows;
+  // resume replaces them with real results, byte-identical to the oracle.
+  std::istringstream drained(read_file(out));
+  std::string line;
+  int lines = 0;
+  int cancelled = 0;
+  while (std::getline(drained, line)) {
+    ++lines;
+    const Json result = Json::parse(line);
+    if (result.at("status").at("outcome").as_string() == "cancelled") {
+      ++cancelled;
+    }
   }
+  EXPECT_EQ(lines, 6);
+  EXPECT_EQ(cancelled, 3);
+  const int resumed = run_jobd_tool(out, "", "--threads 1 --resume");
+  EXPECT_EQ(resumed, 0);
   EXPECT_EQ(read_file(out), oracle);
   EXPECT_EQ(journal_records(journal_dir()), 6);
 }

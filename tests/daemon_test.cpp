@@ -97,6 +97,16 @@ DaemonOptions fast_daemon_options() {
   return options;
 }
 
+/// Serves the daemon on `port` as a remote worker, reconnecting briefly.
+void serve_as_worker(int port) {
+  ClientOptions daemon;
+  daemon.port = port;
+  daemon.connect_attempts = 3;
+  daemon.connect_base_s = 0.01;
+  daemon.connect_max_s = 0.05;
+  (void)run_daemon_worker(daemon);
+}
+
 /// Waits (bounded) until `predicate` holds over the daemon's metrics.
 template <typename Predicate>
 bool wait_for_metrics(const JobDaemon& daemon, Predicate predicate) {
@@ -232,8 +242,7 @@ TEST(JobDaemon, RemoteWorkerOnlyDaemonMatchesLocalRun) {
   ASSERT_TRUE(daemon.start().ok());
 
   std::thread worker([port = daemon.port()] {
-    (void)run_daemon_worker("127.0.0.1", port, /*connect_attempts=*/3,
-                            /*connect_base_s=*/0.01, /*connect_max_s=*/0.05);
+    serve_as_worker(port);
   });
 
   const std::string bytes = client_bytes(daemon.port(), jsonl);
@@ -288,8 +297,7 @@ TEST(JobDaemon, JobLostToACrashedWorkerIsRetriedElsewhere) {
   ASSERT_TRUE(wait_for_metrics(
       daemon, [](const ServiceMetrics& m) { return m.workers_lost >= 1; }));
   std::thread worker([port = daemon.port()] {
-    (void)run_daemon_worker("127.0.0.1", port, /*connect_attempts=*/3,
-                            /*connect_base_s=*/0.01, /*connect_max_s=*/0.05);
+    serve_as_worker(port);
   });
   client.join();
   daemon.stop();
@@ -418,8 +426,7 @@ TEST(JobDaemon, MixedStreamCountsEveryResultInOneBucket) {
     return m.jobs_shed == 1 && m.parse_errors == 1;
   }));
   std::thread worker([port = daemon.port()] {
-    (void)run_daemon_worker("127.0.0.1", port, /*connect_attempts=*/3,
-                            /*connect_base_s=*/0.01, /*connect_max_s=*/0.05);
+    serve_as_worker(port);
   });
   client_thread.join();
   daemon.stop();

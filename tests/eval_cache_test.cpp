@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "arch/chips.hpp"
@@ -19,9 +20,13 @@ struct Fixture {
   std::vector<arch::Biochip> augmented;
   CodesignOptions options;
 
-  Fixture()
-      : chip(arch::make_ivd_chip()), assay(sched::make_ivd_assay()) {
-    pool = enumerate_dft_configurations(chip, 2, options.plan);
+  /// The IVD chip's pool of 2 by default. figure4_chip's pool of 4 adds 3,
+  /// 4, 4 and 5 edges, so its configurations 1 and 2 have equal DFT valve
+  /// counts.
+  explicit Fixture(arch::Biochip chip_in = arch::make_ivd_chip(),
+                   int pool_size = 2)
+      : chip(std::move(chip_in)), assay(sched::make_ivd_assay()) {
+    pool = enumerate_dft_configurations(chip, pool_size, options.plan);
     for (const testgen::PathPlan& plan : pool) {
       augmented.push_back(testgen::apply_plan(chip, plan));
     }
@@ -98,14 +103,13 @@ TEST(EvalCacheTest, DifferentSchemeBypassesCache) {
 }
 
 TEST(EvalCacheTest, SameSchemeDifferentConfigBypassesCache) {
-  Fixture f;
-  if (f.pool.size() < 2 || f.dft_count(0) != f.dft_count(1)) {
-    GTEST_SKIP() << "need two configurations with equal DFT valve counts";
-  }
+  Fixture f(arch::make_figure4_chip(), 4);
+  ASSERT_EQ(f.pool.size(), 4u);
+  ASSERT_EQ(f.dft_count(1), f.dft_count(2));
   ThreadPool pool(1);
   const auto evaluator = f.make_evaluator(pool);
-  evaluator->evaluate(0, f.uniform_scheme(0, 0));
-  evaluator->evaluate(1, f.uniform_scheme(0, 0));
+  evaluator->evaluate(1, f.uniform_scheme(1, 0));
+  evaluator->evaluate(2, f.uniform_scheme(1, 0));
   EXPECT_EQ(evaluator->stats().evaluations, 2);
   EXPECT_EQ(evaluator->stats().cache_hits, 0);
 }
@@ -218,19 +222,19 @@ TEST(EvalCacheTest, SharedTierServesSecondEvaluatorWithLogicalCounters) {
 }
 
 TEST(EvalCacheTest, CandidateKeyStableAcrossEvaluatorsAndConfigs) {
-  Fixture f;
+  Fixture f(arch::make_figure4_chip(), 4);
+  ASSERT_EQ(f.pool.size(), 4u);
+  ASSERT_EQ(f.dft_count(1), f.dft_count(2));
   ThreadPool pool(1);
   const auto one = f.make_evaluator(pool);
   const auto two = f.make_evaluator(pool);
-  const SharingScheme a = f.uniform_scheme(0, 0);
-  const SharingScheme b = f.uniform_scheme(0, 1);
-  EXPECT_EQ(one->candidate_key(0, a), two->candidate_key(0, a));
-  EXPECT_FALSE(one->candidate_key(0, a) == one->candidate_key(0, b));
-  if (f.pool.size() >= 2 && f.dft_count(0) == f.dft_count(1)) {
-    // Same partner vector on a different configuration: distinct keys (the
-    // old (config, partner) key's collision-prone spot).
-    EXPECT_FALSE(one->candidate_key(0, a) == one->candidate_key(1, a));
-  }
+  const SharingScheme a = f.uniform_scheme(1, 0);
+  const SharingScheme b = f.uniform_scheme(1, 1);
+  EXPECT_EQ(one->candidate_key(1, a), two->candidate_key(1, a));
+  EXPECT_FALSE(one->candidate_key(1, a) == one->candidate_key(1, b));
+  // Same partner vector on a different configuration: distinct keys (the
+  // old (config, partner) key's collision-prone spot).
+  EXPECT_FALSE(one->candidate_key(1, a) == one->candidate_key(2, a));
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/run_control.hpp"
+#include "svc/daemon.hpp"
+#include "svc/jobd.hpp"
 
 namespace mfd::svc {
 namespace {
@@ -65,6 +69,41 @@ TEST(JobSpecValidate, ListsEveryBadFieldInOneStatus) {
   const Status bounded = greedy.validate();
   ASSERT_FALSE(bounded.ok());
   EXPECT_NE(bounded.message.find("threads"), std::string::npos);
+}
+
+TEST(JobSpecValidate, BoundsTheDeadlineAtAYear) {
+  // Past the bound, arming the deadline would overflow steady_clock; the
+  // spec is refused instead.
+  JobSpec spec = valid_testgen_spec();
+  spec.deadline_s = kMaxDeadlineS;
+  EXPECT_TRUE(spec.validate().ok());
+  spec.deadline_s = 1e10;
+  const Status status = spec.validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.outcome, Outcome::kInvalidOptions);
+  EXPECT_NE(status.message.find("deadline_s must be in [0, 31536000]"),
+            std::string::npos)
+      << status.message;
+
+  // Through a batch, whose executor arms the deadline before the job
+  // validates its spec: the job fails typed, as invalid, not as a deadline
+  // that passed before it ran.
+  std::istringstream in(spec.to_json().dump() + "\n");
+  std::ostringstream out;
+  const JobdReport report = run_jobd(in, out);
+  const Json line = Json::parse(out.str());
+  EXPECT_EQ(line.at("status").at("outcome").as_string(), "invalid_options");
+  EXPECT_EQ(line.at("status").at("stage").as_string(), "job_spec");
+  EXPECT_EQ(report.metrics.jobs_failed, 1);
+
+  // The same bound holds for a batch's and a daemon's default deadline.
+  JobdOptions options;
+  options.deadline_s = 1e10;
+  EXPECT_NE(options.validate().message.find("deadline_s"), std::string::npos);
+  DaemonOptions daemon;
+  daemon.default_deadline_s = 1e10;
+  EXPECT_NE(daemon.validate().message.find("default_deadline_s"),
+            std::string::npos);
 }
 
 TEST(JobSpecValidate, RejectsBothChipAndChipText) {

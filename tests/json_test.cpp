@@ -86,9 +86,13 @@ TEST(JsonTest, MalformedInputsRejected) {
        {"", "  ", "{", "[1,", "[1 2]", "{\"a\":}", "{\"a\" 1}", "tru",
         "nul", "01", "1.", "1e", "+1", "\"unterminated", "\"bad\\q\"",
         "\"\\u12\"", "[1],", "{\"a\":1,}", "[,]", "{\"a\":1 \"b\":2}",
-        "\"\\ud800\"", "nan", "Infinity"}) {
+        "\"\\ud800\"", "nan", "Infinity", "1e999", "-1e999",
+        "{\"deadline_s\":1e999}"}) {
     EXPECT_THROW(Json::parse(bad), Error) << "input: " << bad;
   }
+  // Past int64 a number reads as a double; past any double it is rejected,
+  // as 1e999 is, instead of reading as an infinity dump() cannot write.
+  EXPECT_THROW((void)Json::parse(std::string(400, '9')), Error);
 }
 
 TEST(JsonTest, DuplicateKeysRejected) {

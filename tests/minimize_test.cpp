@@ -4,6 +4,7 @@
 #include "core/codesign.hpp"
 #include "testgen/minimize.hpp"
 #include "testgen/path_ilp.hpp"
+#include "workload/fpva.hpp"
 
 namespace mfd::testgen {
 namespace {
@@ -15,15 +16,30 @@ TestSuite suite_for(const arch::Biochip& chip) {
 }
 
 TEST(MinimizeTest, KeepsFullCoverage) {
-  const arch::Biochip chip = arch::make_ivd_chip();
-  const TestSuite suite = suite_for(chip);
-  MinimizeStats stats;
-  const TestSuite minimized =
-      minimize_test_suite(chip, suite, MinimizeOptions{}, &stats);
-  EXPECT_TRUE(minimized.coverage.complete());
-  EXPECT_EQ(stats.vectors_before, suite.size());
-  EXPECT_EQ(stats.vectors_after, minimized.size());
-  EXPECT_LE(minimized.size(), suite.size());
+  const auto minimize = [](const arch::Biochip& chip) {
+    const TestSuite suite = suite_for(chip);
+    MinimizeStats stats;
+    const TestSuite minimized =
+        minimize_test_suite(chip, suite, MinimizeOptions{}, &stats);
+    EXPECT_TRUE(minimized.coverage.complete()) << chip.name();
+    EXPECT_EQ(stats.vectors_before, suite.size());
+    EXPECT_EQ(stats.vectors_after, minimized.size());
+    EXPECT_LE(minimized.size(), suite.size());
+    return stats;
+  };
+  (void)minimize(arch::make_ivd_chip());
+  // The 6x6 FPVA (seed 2024, 4 ports, 2 mixers, 1 detector): its 42-vector
+  // suite covers all 120 stuck-at faults, and the exact set cover keeps 36.
+  workload::FpvaSpec fpva;
+  fpva.rows = fpva.cols = 6;
+  fpva.ports = 4;
+  fpva.mixers = 2;
+  fpva.detectors = 1;
+  fpva.seed = 2024;
+  const MinimizeStats stats = minimize(workload::make_fpva_chip(fpva));
+  EXPECT_EQ(stats.vectors_before, 42);
+  EXPECT_TRUE(stats.exact);
+  EXPECT_EQ(stats.vectors_after, 36);
 }
 
 TEST(MinimizeTest, ExactWhenSmall) {

@@ -309,6 +309,34 @@ TEST(SupervisorTest, RunJobdWithWorkersMatchesThreadsByteForByte) {
   EXPECT_EQ(out_threads.str(), out_workers.str());
 }
 
+TEST(SupervisorTest, OutOfRangeNumberIsAParseErrorAndTheBatchRuns) {
+  // strtod reads 1e999 as infinity, and no spec holding one can be
+  // re-serialized for a worker. The line must fail its parse in its own
+  // slot, and the rest of the batch run on the worker.
+  const std::string input =
+      "{\"kind\":\"testgen\",\"chip\":\"IVD_chip\",\"deadline_s\":1e999}\n" +
+      nine_jobs()[0].to_json().dump() + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  const JobdReport report = run_jobd(in, out, worker_options(1));
+
+  std::istringstream lines(out.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  const Json first = Json::parse(line);
+  EXPECT_EQ(first.at("status").at("stage").as_string(), "parse");
+  EXPECT_NE(first.at("status").at("message").as_string().find(
+                "line 1: Json::parse(): number out of range"),
+            std::string::npos)
+      << line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(Json::parse(line).at("status").at("outcome").as_string(), "ok");
+  EXPECT_FALSE(std::getline(lines, line));
+  EXPECT_EQ(report.metrics.parse_errors, 1);
+  EXPECT_EQ(report.metrics.jobs_ok, 1);
+  EXPECT_EQ(report.metrics.jobs_remote, 1);
+}
+
 TEST(SupervisorTest, WorkersShareFitnessCacheThroughDiskTier) {
   // Worker subprocesses share evaluations through the persistent cache
   // tier: the batch leaves segment files behind, a rerun starts warm, and

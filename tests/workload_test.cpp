@@ -313,7 +313,7 @@ TEST(FpvaScaleTest, SignaturePackingHoldsBeyond4096Faults) {
   ASSERT_GE(faults.size(), 4096u);
 
   // Hand-rolled vectors (multiport testgen at this scale belongs in
-  // bench_fpva, not a unit test).
+  // perfbench's fpva_campaign, not a unit test).
   Rng rng(321);
   std::vector<sim::TestVector> vectors;
   const sim::PressureSimulator oracle(chip);

@@ -1,7 +1,8 @@
-// Command-line flags shared by mfdft_jobd and mfdft_campaign. A flag's
-// value is the argument after it; a numeric value must parse whole
-// (std::from_chars, finite for doubles), so "4x", "abc" or an out-of-range
-// number is an error that names the flag instead of a silent 0.
+// Command-line flags shared by mfdft_jobd, mfdft_campaign and the bench
+// binaries' environment knobs. A flag's value is the argument after it; a
+// numeric value must parse whole (std::from_chars, finite for doubles), so
+// "4x", "abc" or an out-of-range number is an error that names the flag
+// instead of a silent 0.
 #pragma once
 
 #include <charconv>
@@ -12,6 +13,20 @@
 #include <type_traits>
 
 namespace mfd::tools {
+
+/// Parses all of `text` as a T into *out. False, leaving *out as it was,
+/// when a character is left over, the value is out of range or, for
+/// floating point, not finite.
+template <typename T>
+bool parse_whole(const std::string& text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = error == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (ok) *out = value;
+  return ok;
+}
 
 class Flags {
  public:
@@ -35,17 +50,11 @@ class Flags {
   bool take(T* out) {
     std::string text;
     if (!take(&text)) return false;
-    T value{};
-    const char* end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    bool ok = error == std::errc() && stop == end;
-    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-    if (!ok) {
+    if (!parse_whole(text, out)) {
       std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv_[0],
                    text.c_str(), argv_[at_ - 1]);
       return false;
     }
-    *out = value;
     return true;
   }
 

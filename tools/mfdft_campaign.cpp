@@ -45,19 +45,14 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/json.hpp"
-#include "common/run_control.hpp"
-#include "net/socket.hpp"
 #include "workload/campaign.hpp"
+#include "batch_flags.hpp"
 #include "flags.hpp"
 
 namespace {
@@ -74,21 +69,9 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Drain control for the local execution path: request_cancel() is a
-/// single atomic store, safe to call from the signal handler.
-mfd::RunControl g_campaign_control;
-
-void request_drain(int) { g_campaign_control.request_cancel(); }
-
-/// Directory of this binary; workers default to the mfdft_jobd next to it.
+/// The mfdft_jobd next to this binary: the default worker binary.
 std::string sibling_jobd(const char* argv0) {
-  char buffer[4096];
-  std::string self(argv0);
-  const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (n > 0) {
-    buffer[n] = '\0';
-    self.assign(buffer);
-  }
+  const std::string self = mfd::tools::self_path(argv0);
   const std::size_t slash = self.rfind('/');
   const std::string dir = slash == std::string::npos ? "." : self.substr(0, slash);
   return dir + "/mfdft_jobd";
@@ -166,9 +149,7 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string json_path;
   std::string jobd_bin;
-  std::string connect_spec;
-  std::string priority;
-  mfd::workload::CampaignRunOptions options;
+  mfd::tools::BatchFlags batch;
 
   mfd::tools::Flags flags(argc, argv);
   while (flags.next()) {
@@ -184,30 +165,12 @@ int main(int argc, char** argv) {
       ok = flags.take(&out_path);
     } else if (arg == "--json") {
       ok = flags.take(&json_path);
-    } else if (arg == "--threads") {
-      ok = flags.take(&options.jobd.threads);
-    } else if (arg == "--workers") {
-      ok = flags.take(&options.jobd.workers);
     } else if (arg == "--jobd-bin") {
       ok = flags.take(&jobd_bin);
-    } else if (arg == "--connect") {
-      ok = flags.take(&connect_spec);
-    } else if (arg == "--priority") {
-      ok = flags.take(&priority);
-    } else if (arg == "--cache-dir") {
-      ok = flags.take(&options.jobd.cache_dir);
-    } else if (arg == "--cache-mb") {
-      ok = flags.take(&options.jobd.cache_mb);
-    } else if (arg == "--no-shared-cache") {
-      options.jobd.shared_cache = false;
-    } else if (arg == "--journal") {
-      ok = flags.take(&options.jobd.journal_dir);
-    } else if (arg == "--resume") {
-      options.jobd.resume = true;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    } else {
+    } else if (!batch.take(flags, arg, &ok)) {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
                    arg.c_str());
       ok = false;
@@ -220,18 +183,8 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  if (options.jobd.resume && options.jobd.journal_dir.empty()) {
-    std::fprintf(stderr, "%s: --resume requires --journal DIR\n", argv[0]);
-    return 2;
-  }
-  if (options.jobd.workers > 0) {
-    options.jobd.worker_command = {
-        jobd_bin.empty() ? sibling_jobd(argv[0]) : jobd_bin, "--worker"};
-  }
-  const mfd::Status valid_options = options.jobd.validate();
-  if (!valid_options.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0],
-                 valid_options.to_string().c_str());
+  if (!batch.check(argv[0],
+                   jobd_bin.empty() ? sibling_jobd(argv[0]) : jobd_bin)) {
     return 2;
   }
 
@@ -297,39 +250,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!connect_spec.empty()) {
-    mfd::net::Endpoint endpoint;
-    std::string parse_error;
-    if (!mfd::net::parse_host_port(connect_spec, &endpoint, &parse_error)) {
-      std::fprintf(stderr, "%s: bad --connect spec '%s': %s\n", argv[0],
-                   connect_spec.c_str(), parse_error.c_str());
-      return 2;
-    }
-    options.jobd.connect =
-        mfd::svc::ClientOptions{endpoint.host, endpoint.port, priority};
-  }
+  if (!batch.resolve_connect(argv[0])) return 2;
   mfd::workload::CampaignOutcome outcome;
-  if (!options.jobd.connect) {
-    // Graceful drain of a local run: SIGINT/SIGTERM stop admission,
-    // unstarted jobs come back "cancelled", the journal (if any) stays
-    // consistent, exit 4. A client is simply killed: its journal keeps
-    // what arrived.
-    options.jobd.control = &g_campaign_control;
-    std::signal(SIGINT, request_drain);
-    std::signal(SIGTERM, request_drain);
-  }
-  const mfd::Status run_status =
-      mfd::workload::run_campaign(spec, options, &outcome);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  const mfd::Status run_status = batch.run_draining([&] {
+    return mfd::workload::run_campaign(spec, {batch.options}, &outcome);
+  });
   if (!run_status.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], run_status.to_string().c_str());
-    // A daemon that did not answer every job left everything that arrived
-    // in the journal: resumable, a typed partial rather than a hard error.
-    const bool resumable = outcome.jobd.journal_status.ok() &&
-                           !outcome.jobd.connection.ok() &&
-                           !options.jobd.journal_dir.empty();
-    return resumable ? 4 : 2;
+    return batch.unfinished_status(outcome.jobd);
   }
 
   if (!out_path.empty()) {
@@ -363,11 +291,6 @@ int main(int argc, char** argv) {
                report.campaign.c_str(), report.chips, report.valves_min,
                report.valves_max, report.vectors_total, report.faults_detected,
                report.faults_total, report.metrics.summary().c_str());
-  if (report.interrupted) {
-    std::fprintf(stderr,
-                 "mfdft_campaign: interrupted; rerun with --journal/--resume "
-                 "to finish the remaining jobs\n");
-    return 4;
-  }
-  return report.metrics.jobs_ok == report.jobs ? 0 : 3;
+  return mfd::tools::BatchFlags::finished_status(
+      outcome.jobd, "mfdft_campaign: interrupted");
 }

@@ -18,6 +18,7 @@
 //   --stall-timeout-s S  per-job watchdog in worker mode (0 = off)
 //   --max-attempts K   attempts per job before quarantine (worker mode)
 //   --deadline-s S     default per-job deadline for jobs that set none
+//                      (at most 31536000, a year)
 //   --cache-dir PATH   persistent fitness-cache directory: loaded warm at
 //                      startup, appended to at exit, so repeated batches
 //                      over the same chips skip recomputed evaluations
@@ -79,21 +80,17 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
-
-#include <unistd.h>
 
 #include <chrono>
 #include <thread>
 
-#include "common/run_control.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "core/fitness_cache.hpp"
-#include "net/socket.hpp"
 #include "svc/daemon.hpp"
 #include "svc/jobd.hpp"
 #include "svc/run_job.hpp"
+#include "batch_flags.hpp"
 #include "flags.hpp"
 
 namespace {
@@ -119,25 +116,6 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 
 void request_stop(int) { g_stop_requested = 1; }
 
-/// Batch-mode drain control: request_cancel() is a single atomic store, so
-/// the handler may call it directly. The running batch stops admitting
-/// jobs, completes unstarted ones as "cancelled", and exits 4.
-mfd::RunControl g_batch_control;
-
-void request_drain(int) { g_batch_control.request_cancel(); }
-
-/// Path of this binary (workers are spawned from the same executable);
-/// falls back to argv[0] when /proc is unavailable.
-std::string self_path(const char* argv0) {
-  char buffer[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
-  if (n > 0) {
-    buffer[n] = '\0';
-    return std::string(buffer);
-  }
-  return std::string(argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -149,11 +127,10 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string trace_path;
   std::string listen_spec;
-  std::string connect_spec;
-  std::string priority;
   mfd::svc::DaemonOptions daemon_options;
   bool worker_mode = false;
-  mfd::svc::JobdOptions options;
+  mfd::tools::BatchFlags batch;
+  mfd::svc::JobdOptions& options = batch.options;
 
   mfd::tools::Flags flags(argc, argv);
   while (flags.next()) {
@@ -163,34 +140,16 @@ int main(int argc, char** argv) {
       ok = flags.take(&in_path);
     } else if (arg == "--out") {
       ok = flags.take(&out_path);
-    } else if (arg == "--threads") {
-      ok = flags.take(&options.threads);
-    } else if (arg == "--workers") {
-      ok = flags.take(&options.workers);
     } else if (arg == "--stall-timeout-s") {
       ok = flags.take(&options.stall_timeout_s);
     } else if (arg == "--max-attempts") {
       ok = flags.take(&options.max_attempts);
     } else if (arg == "--deadline-s") {
       ok = flags.take(&options.deadline_s);
-    } else if (arg == "--cache-dir") {
-      ok = flags.take(&options.cache_dir);
-    } else if (arg == "--cache-mb") {
-      ok = flags.take(&options.cache_mb);
-    } else if (arg == "--no-shared-cache") {
-      options.shared_cache = false;
-    } else if (arg == "--journal") {
-      ok = flags.take(&options.journal_dir);
-    } else if (arg == "--resume") {
-      options.resume = true;
     } else if (arg == "--trace") {
       ok = flags.take(&trace_path);
     } else if (arg == "--listen") {
       ok = flags.take(&listen_spec);
-    } else if (arg == "--connect") {
-      ok = flags.take(&connect_spec);
-    } else if (arg == "--priority") {
-      ok = flags.take(&priority);
     } else if (arg == "--queue-capacity") {
       ok = flags.take(&daemon_options.queue_capacity);
     } else if (arg == "--worker") {
@@ -198,38 +157,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    } else {
+    } else if (!batch.take(flags, arg, &ok)) {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       ok = false;
     }
     if (!ok) return usage(argv[0]);
   }
 
-  if (!listen_spec.empty() && !connect_spec.empty()) {
+  if (!listen_spec.empty() && !batch.connect.empty()) {
     std::fprintf(stderr, "%s: --listen and --connect are mutually exclusive\n",
                  argv[0]);
     return 2;
   }
-  if (options.resume && options.journal_dir.empty()) {
-    std::fprintf(stderr, "%s: --resume requires --journal DIR\n", argv[0]);
-    return 2;
-  }
-  if (options.workers > 0) {
-    options.worker_command = {self_path(argv[0]), "--worker"};
-  }
-  const mfd::Status valid = options.validate();
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], valid.to_string().c_str());
-    return 2;
-  }
+  if (!batch.check(argv[0], mfd::tools::self_path(argv[0]))) return 2;
 
   if (!listen_spec.empty()) {
     // Daemon mode: serve clients and remote workers until SIGINT/SIGTERM.
     mfd::net::Endpoint endpoint;
-    std::string parse_error;
-    if (!mfd::net::parse_host_port(listen_spec, &endpoint, &parse_error)) {
-      std::fprintf(stderr, "%s: bad --listen spec '%s': %s\n", argv[0],
-                   listen_spec.c_str(), parse_error.c_str());
+    if (!mfd::tools::parse_endpoint(argv[0], "--listen", listen_spec,
+                                    &endpoint)) {
       return 2;
     }
     daemon_options.host = endpoint.host;
@@ -262,38 +208,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!connect_spec.empty()) {
-    mfd::net::Endpoint endpoint;
-    std::string parse_error;
-    if (!mfd::net::parse_host_port(connect_spec, &endpoint, &parse_error)) {
-      std::fprintf(stderr, "%s: bad --connect spec '%s': %s\n", argv[0],
-                   connect_spec.c_str(), parse_error.c_str());
-      return 2;
-    }
-    if (worker_mode) {
-      // Remote worker: donate this process to the daemon's pool.
-      std::unique_ptr<mfd::core::FitnessCache> cache;
-      if (options.shared_cache) {
-        cache = mfd::svc::open_fitness_cache(options.cache_dir,
-                                             options.cache_mb);
-      }
-      const int served = mfd::svc::run_daemon_worker(
-          endpoint.host, endpoint.port, /*connect_attempts=*/10,
-          /*connect_base_s=*/0.05, /*connect_max_s=*/1.0, cache.get());
-      std::fprintf(stderr, "mfdft_jobd: remote worker served %d connections\n",
-                   served);
-      return served > 0 ? 0 : 2;
-    }
-    // Client mode: the batch runs on the daemon.
-    options.connect =
-        mfd::svc::ClientOptions{endpoint.host, endpoint.port, priority};
-  } else if (worker_mode) {
+  if (!batch.resolve_connect(argv[0])) return 2;
+  if (worker_mode) {
     // Worker-side cache: each worker owns one, warm-loaded from the shared
     // --cache-dir (if any) and persisted at EOF — cross-process sharing is
     // disk-mediated.
     std::unique_ptr<mfd::core::FitnessCache> cache;
     if (options.shared_cache) {
       cache = mfd::svc::open_fitness_cache(options.cache_dir, options.cache_mb);
+    }
+    if (options.connect) {
+      // Remote worker: donate this process to the daemon's pool.
+      const int served =
+          mfd::svc::run_daemon_worker(*options.connect, cache.get());
+      std::fprintf(stderr, "mfdft_jobd: remote worker served %d connections\n",
+                   served);
+      return served > 0 ? 0 : 2;
     }
     const int rc =
         mfd::svc::run_worker(std::cin, std::cout, nullptr, cache.get());
@@ -338,29 +268,17 @@ int main(int argc, char** argv) {
 
   std::istream& in = in_path.empty() ? std::cin : in_file;
   std::ostream& out = out_path.empty() ? std::cout : out_file;
-  // Graceful drain of a local batch: SIGINT/SIGTERM stop admission,
-  // complete unstarted jobs as "cancelled", keep the journal (if any)
-  // consistent, and exit 4. A client is simply killed: its journal keeps
-  // what arrived.
-  if (!options.connect) {
-    options.control = &g_batch_control;
-    std::signal(SIGINT, request_drain);
-    std::signal(SIGTERM, request_drain);
-  }
-  const mfd::svc::JobdReport report = mfd::svc::run_jobd(in, out, options);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  const mfd::svc::JobdReport report = batch.run_draining(
+      [&] { return mfd::svc::run_jobd(in, out, options); });
   if (!report.journal_status.ok()) {
     std::fprintf(stderr, "%s: journal: %s\n", argv[0],
                  report.journal_status.to_string().c_str());
-    return 2;
+    return batch.unfinished_status(report);
   }
   if (!report.connection.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv[0],
                  report.connection.to_string().c_str());
-    // With a journal, everything that arrived is durable: the run is
-    // resumable, which is exit 4, not a hard 2.
-    return options.journal_dir.empty() ? 2 : 4;
+    return batch.unfinished_status(report);
   }
   // run_jobd flushes; a bad stream here means results were lost downstream
   // (file error or a closed pipe) — fail loudly rather than exit 0 on a
@@ -382,11 +300,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "mfdft_jobd: cache persist failed: %s\n",
                  report.cache_persist.to_string().c_str());
   }
-  if (report.interrupted) {
-    std::fprintf(stderr,
-                 "mfdft_jobd: batch interrupted; rerun with --journal/--resume "
-                 "to finish the remaining jobs\n");
-    return 4;
-  }
-  return report.metrics.jobs_ok == report.metrics.jobs_total ? 0 : 3;
+  return mfd::tools::BatchFlags::finished_status(
+      report, "mfdft_jobd: batch interrupted");
 }
