@@ -4,10 +4,14 @@
 
 namespace mfd::detail {
 
-void fail(const char* kind, const std::string& message,
-          const std::source_location& where) {
+void precondition_failed(const std::string& message) {
+  throw Error("mfdft precondition failure: " + message);
+}
+
+void invariant_failed(const std::string& message,
+                      const std::source_location& where) {
   std::ostringstream oss;
-  oss << "mfdft " << kind << " failure at " << where.file_name() << ':'
+  oss << "mfdft invariant failure at " << where.file_name() << ':'
       << where.line() << " (" << where.function_name() << "): " << message;
   throw Error(oss.str());
 }

@@ -19,27 +19,30 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] void fail(const char* kind, const std::string& message,
-                       const std::source_location& where);
+[[noreturn]] void precondition_failed(const std::string& message);
+[[noreturn]] void invariant_failed(const std::string& message,
+                                   const std::source_location& where);
 }  // namespace detail
 
-/// Checks a precondition on public API input; throws mfd::Error on failure.
+/// Checks a precondition on public API input; throws mfd::Error with
+/// "mfdft precondition failure: <message>". Bad input reaches callers (a
+/// job's result, a daemon's client), so the text names no source location:
+/// it must not change with the checkout path or unrelated edits.
 #define MFD_REQUIRE(cond, message)                                       \
   do {                                                                   \
     if (!(cond)) {                                                       \
-      ::mfd::detail::fail("precondition", (message),                     \
-                          std::source_location::current());              \
+      ::mfd::detail::precondition_failed((message));                     \
     }                                                                    \
   } while (false)
 
-/// Checks an internal invariant; throws mfd::Error on failure. Kept enabled
-/// in release builds: the solver and simulator are cheap relative to the
-/// safety the checks buy.
+/// Checks an internal invariant; throws mfd::Error naming the file, line
+/// and function of the check. Kept enabled in release builds: the solver
+/// and simulator are cheap relative to the safety the checks buy.
 #define MFD_ASSERT(cond, message)                                        \
   do {                                                                   \
     if (!(cond)) {                                                       \
-      ::mfd::detail::fail("invariant", (message),                        \
-                          std::source_location::current());              \
+      ::mfd::detail::invariant_failed((message),                         \
+                                      std::source_location::current());  \
     }                                                                    \
   } while (false)
 

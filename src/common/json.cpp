@@ -504,4 +504,62 @@ Json Json::parse(const std::string& text) {
   return Parser(text).run();
 }
 
+ObjectReader::ObjectReader(const Json& json, std::string_view type)
+    : members_(json.is_object()
+                   ? json.as_object()
+                   : throw Error(std::string(type) + ": not a JSON object")),
+      type_(type),
+      asked_(members_.size(), false) {}
+
+const Json* ObjectReader::get(std::string_view key) {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i].first == key) {
+      asked_[i] = true;
+      return &members_[i].second;
+    }
+  }
+  return nullptr;
+}
+
+const Json& ObjectReader::at(std::string_view key) {
+  const Json* member = get(key);
+  if (member == nullptr) fail(key, "is required");
+  return *member;
+}
+
+bool ObjectReader::read(std::string_view key, std::string& out) {
+  const Json* member = get(key);
+  if (member == nullptr) return false;
+  if (!member->is_string()) fail(key, "must be a string");
+  out = member->as_string();
+  return true;
+}
+
+bool ObjectReader::read(std::string_view key, double& out) {
+  const Json* member = get(key);
+  if (member == nullptr) return false;
+  if (!member->is_number()) fail(key, "must be a number");
+  out = member->as_double();
+  return true;
+}
+
+std::int64_t ObjectReader::integer(std::string_view key, const Json& member,
+                                   std::int64_t min, std::int64_t max) const {
+  if (!member.is_int() || member.as_int() < min || member.as_int() > max) {
+    fail(key, "must be an integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "]");
+  }
+  return member.as_int();
+}
+
+void ObjectReader::reject_unread() const {
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (!asked_[i]) fail(members_[i].first, "is not a known field");
+  }
+}
+
+void ObjectReader::fail(std::string_view key, const std::string& what) const {
+  throw Error(std::string(type_) + ": '" + std::string(key) + "' " + what);
+}
+
 }  // namespace mfd

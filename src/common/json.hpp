@@ -7,10 +7,17 @@
 // the shortest representation that parses back bit-identical, so every value
 // the library emits round-trips exactly and two equal values always
 // serialize to the same bytes regardless of how they were built.
+//
+// ObjectReader is the one checked field reader every from_json() of the
+// service's specs, results and worker envelopes goes through.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -110,5 +117,58 @@ class Json {
 /// same bits (the writer's number format, exposed for benches that format
 /// numbers outside a Json value).
 [[nodiscard]] std::string shortest_double(double value);
+
+/// Reads one JSON object's members into typed fields. An absent key keeps
+/// the field's value. A wrong type, an integer the field's type cannot hold,
+/// or — at reject_unread() — a key no read asked for throws mfd::Error that
+/// names the object's type and the key, e.g. "JobSpec: 'threads' must be an
+/// integer in [-2147483648, 2147483647]". Keys are looked up as
+/// string_views, so a read allocates nothing.
+class ObjectReader {
+ public:
+  /// Throws unless `json` is an object. `type` names it in every error;
+  /// both are borrowed, so a temporary Json is refused.
+  ObjectReader(const Json& json, std::string_view type);
+  ObjectReader(Json&& json, std::string_view type) = delete;
+
+  /// The member under `key`, or nullptr when absent.
+  [[nodiscard]] const Json* get(std::string_view key);
+  /// The member under `key`; throws when absent.
+  [[nodiscard]] const Json& at(std::string_view key);
+
+  /// Typed reads; each returns whether the key was present.
+  bool read(std::string_view key, std::string& out);
+  /// Accepts an integer or a double.
+  bool read(std::string_view key, double& out);
+  /// An integer within T's range; JSON integers being int64, an unsigned
+  /// field tops out at INT64_MAX.
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  bool read(std::string_view key, T& out) {
+    const Json* member = get(key);
+    if (member == nullptr) return false;
+    out = static_cast<T>(integer(
+        key, *member, std::numeric_limits<T>::min(),
+        std::min<std::uint64_t>(std::numeric_limits<T>::max(),
+                                std::numeric_limits<std::int64_t>::max())));
+    return true;
+  }
+
+  /// Throws naming the first key that no get(), at() or read() asked for —
+  /// what a strict type calls once its reads are done.
+  void reject_unread() const;
+
+  /// Throws "<type>: '<key>' <what>".
+  [[noreturn]] void fail(std::string_view key, const std::string& what) const;
+
+ private:
+  [[nodiscard]] std::int64_t integer(std::string_view key, const Json& member,
+                                     std::int64_t min, std::int64_t max) const;
+
+  const Json::Object& members_;
+  std::string_view type_;
+  /// Per member: asked for by some read.
+  std::vector<bool> asked_;
+};
 
 }  // namespace mfd

@@ -5,8 +5,8 @@
 // ephemeral-port support so tests never race over a fixed port), a
 // one-shot connect, and a reconnect-with-backoff client loop for peers
 // that may start before the daemon does. All calls retry EINTR; none
-// raise SIGPIPE (writes go through net::FramedConnection or
-// net::FdStreamBuf, which use MSG_NOSIGNAL on sockets).
+// raise SIGPIPE (writes go through net::FramedConnection, which uses
+// MSG_NOSIGNAL on sockets).
 //
 // Addresses are "host:port" strings; parse_host_port() also accepts a bare
 // ":port"/"port" (host defaults to 127.0.0.1 — the daemon binds loopback

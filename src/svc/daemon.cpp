@@ -18,7 +18,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "net/fdstream.hpp"
 #include "net/framed.hpp"
 #include "net/listener.hpp"
 #include "net/socket.hpp"
@@ -318,10 +317,9 @@ struct JobDaemon::Impl {
     std::string role;
     try {
       const Json hello = Json::parse(line);
-      role = hello.at("role").as_string();
-      if (const Json* member = hello.get("priority")) {
-        peer.priority = member->as_string();
-      }
+      ObjectReader reader(hello, "hello");
+      reader.read("role", role);
+      reader.read("priority", peer.priority);
     } catch (const std::exception&) {
       return false;  // not a peer of ours
     }
@@ -428,20 +426,13 @@ int run_daemon_worker(const ClientOptions& daemon, core::FitnessCache* cache) {
         daemon.host, daemon.port, daemon.connect_attempts,
         daemon.connect_base_s, daemon.connect_max_s, &error);
     if (fd < 0) break;  // the daemon is gone for good
+    net::FramedConnection conn(fd);
     Json hello = Json::object();
     hello.set("role", Json(std::string("worker")));
-    {
-      // The hello goes through the same stream the worker loop will use,
-      // so no bytes can be split across two buffering layers.
-      net::FdDuplexStream stream(fd);
-      stream.out() << hello.dump() << '\n';
-      stream.out().flush();
-      if (stream.out()) {
-        (void)run_worker(stream.in(), stream.out(), nullptr, cache);
-        ++served;
-      }
+    if (conn.write_line(hello.dump())) {
+      (void)run_worker(conn, conn, nullptr, cache);
+      ++served;
     }
-    ::close(fd);
   }
   return served;
 }

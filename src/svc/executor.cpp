@@ -162,7 +162,10 @@ void ExecutionCore::add_workers(const WorkerCommand& command, int count) {
     auto link = std::make_unique<Link>();
     std::string error;
     link->process = WorkerProcess::spawn(command, &error);
-    if (link->process == nullptr) continue;
+    if (link->process == nullptr) {
+      this->count([](ServiceMetrics& m) { ++m.workers_lost; });
+      continue;
+    }
     link->pipe = true;
     link->command = command;
     links.push_back(std::move(link));

@@ -118,7 +118,9 @@ class ExecutionCore {
 
   /// Starts `count` in-process executor threads.
   void add_in_process(int count);
-  /// Starts `count` worker-pipe executors running `command`.
+  /// Starts `count` worker-pipe executors running `command`. A worker that
+  /// fails to spawn counts in workers_lost; when none starts, one
+  /// in-process executor runs the queue instead.
   void add_workers(const WorkerCommand& command, int count);
   /// Starts an executor serving the remote worker on `conn`, whose hello
   /// was already read. Reaps executors of workers that hung up.

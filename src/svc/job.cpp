@@ -27,30 +27,6 @@ bool known_assay(const std::string& name) {
   return false;
 }
 
-/// Typed field readers: absent keys keep the default, wrong types throw.
-void read_string(const Json& json, const char* key, std::string& out) {
-  if (const Json* member = json.get(key)) out = member->as_string();
-}
-
-void read_double(const Json& json, const char* key, double& out) {
-  if (const Json* member = json.get(key)) out = member->as_double();
-}
-
-void read_int(const Json& json, const char* key, int& out) {
-  if (const Json* member = json.get(key)) {
-    out = static_cast<int>(member->as_int());
-  }
-}
-
-void read_uint64(const Json& json, const char* key, std::uint64_t& out) {
-  if (const Json* member = json.get(key)) {
-    const std::int64_t value = member->as_int();
-    MFD_REQUIRE(value >= 0, std::string("JobSpec: '") + key +
-                                "' must be non-negative");
-    out = static_cast<std::uint64_t>(value);
-  }
-}
-
 }  // namespace
 
 const char* to_string(JobKind kind) {
@@ -137,6 +113,7 @@ Status JobSpec::validate() const {
        std::string("deadline_s") + kDeadlineRange);
   flag(threads < 0 || threads > kMaxThreads,
        "threads must be in [0, " + std::to_string(kMaxThreads) + "]");
+  flag(seed > kMaxSeed, "seed must be at most " + std::to_string(kMaxSeed));
   if (!priority.empty()) {
     JobClass parsed;
     flag(!job_class_from_name(priority, &parsed),
@@ -167,93 +144,75 @@ Json JobSpec::to_json() const {
 }
 
 JobSpec JobSpec::from_json(const Json& json) {
-  MFD_REQUIRE(json.is_object(), "JobSpec::from_json(): not a JSON object");
-  static const char* const kKnownKeys[] = {
-      "kind",       "id",        "chip",
-      "chip_text",  "assay",     "assay_text",
-      "universe",   "deadline_s", "threads",
-      "seed",       "outer_iterations", "outer_particles",
-      "config_pool_size", "priority"};
-  for (const auto& [key, _] : json.as_object()) {
-    bool known = false;
-    for (const char* candidate : kKnownKeys) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    MFD_REQUIRE(known, "JobSpec::from_json(): unknown field '" + key + "'");
-  }
-
+  ObjectReader reader(json, "JobSpec");
   JobSpec spec;
-  const std::string kind_word =
-      json.get("kind") != nullptr ? json.at("kind").as_string() : "testgen";
+  std::string kind_word = "testgen";
+  reader.read("kind", kind_word);
   if (!job_kind_from_name(kind_word, &spec.kind)) {
-    throw Error("JobSpec::from_json(): unknown kind '" + kind_word + "'");
+    reader.fail("kind", "is not a job kind: '" + kind_word + "'");
   }
-  read_string(json, "id", spec.id);
-  read_string(json, "chip", spec.chip);
-  read_string(json, "chip_text", spec.chip_text);
-  read_string(json, "assay", spec.assay);
-  read_string(json, "assay_text", spec.assay_text);
-  read_string(json, "universe", spec.universe);
-  read_double(json, "deadline_s", spec.deadline_s);
-  read_int(json, "threads", spec.threads);
-  read_uint64(json, "seed", spec.seed);
-  read_int(json, "outer_iterations", spec.outer_iterations);
-  read_int(json, "outer_particles", spec.outer_particles);
-  read_int(json, "config_pool_size", spec.config_pool_size);
-  read_string(json, "priority", spec.priority);
+  reader.read("id", spec.id);
+  reader.read("chip", spec.chip);
+  reader.read("chip_text", spec.chip_text);
+  reader.read("assay", spec.assay);
+  reader.read("assay_text", spec.assay_text);
+  reader.read("universe", spec.universe);
+  reader.read("deadline_s", spec.deadline_s);
+  reader.read("threads", spec.threads);
+  reader.read("seed", spec.seed);
+  reader.read("outer_iterations", spec.outer_iterations);
+  reader.read("outer_particles", spec.outer_particles);
+  reader.read("config_pool_size", spec.config_pool_size);
+  reader.read("priority", spec.priority);
+  reader.reject_unread();
   return spec;
 }
 
 JobResult JobResult::from_json(const Json& json) {
-  MFD_REQUIRE(json.is_object(), "JobResult::from_json(): not a JSON object");
+  // Lenient: keys this version does not know are ignored.
+  ObjectReader reader(json, "JobResult");
   JobResult result;
-  read_int(json, "index", result.index);
-  read_string(json, "id", result.id);
-  const std::string kind_word = json.at("kind").as_string();
-  MFD_REQUIRE(job_kind_from_name(kind_word, &result.kind),
-              "JobResult::from_json(): unknown kind '" + kind_word + "'");
+  reader.read("index", result.index);
+  reader.read("id", result.id);
+  std::string kind_word;
+  reader.read("kind", kind_word);
+  if (!job_kind_from_name(kind_word, &result.kind)) {
+    reader.fail("kind", "is not a job kind: '" + kind_word + "'");
+  }
 
-  const Json& status_json = json.at("status");
-  const std::string outcome_word = status_json.at("outcome").as_string();
+  ObjectReader status(reader.at("status"), "JobResult status");
+  std::string outcome_word;
+  status.read("outcome", outcome_word);
   const std::optional<Outcome> outcome = outcome_from_name(outcome_word);
-  MFD_REQUIRE(outcome.has_value(),
-              "JobResult::from_json(): unknown outcome '" + outcome_word + "'");
+  if (!outcome.has_value()) {
+    status.fail("outcome", "is not an outcome: '" + outcome_word + "'");
+  }
   result.status.outcome = *outcome;
-  read_string(status_json, "stage", result.status.stage);
-  read_string(status_json, "message", result.status.message);
+  status.read("stage", result.status.stage);
+  status.read("message", result.status.message);
 
-  read_string(json, "chip_text", result.chip_text);
-  read_double(json, "makespan", result.makespan);
-  read_double(json, "exec_original", result.exec_original);
-  read_double(json, "exec_dft_unoptimized", result.exec_dft_unoptimized);
-  read_double(json, "exec_dft_optimized", result.exec_dft_optimized);
-  read_int(json, "dft_valves", result.dft_valves);
-  read_int(json, "shared_valves", result.shared_valves);
-  read_int(json, "vectors", result.vectors);
-  read_int(json, "path_vectors", result.path_vectors);
-  read_int(json, "cut_vectors", result.cut_vectors);
-  read_int(json, "total_faults", result.total_faults);
-  read_int(json, "detected_faults", result.detected_faults);
-  read_int(json, "distinct_signatures", result.distinct_signatures);
-  read_int(json, "ambiguous_faults", result.ambiguous_faults);
-  read_int(json, "undetected_faults", result.undetected_faults);
-  read_double(json, "resolution", result.resolution);
-  if (const Json* stats_json = json.get("stats")) {
-    if (const Json* member = stats_json->get("evaluations")) {
-      result.stats.evaluations = member->as_int();
-    }
-    if (const Json* member = stats_json->get("cache_hits")) {
-      result.stats.cache_hits = member->as_int();
-    }
-    if (const Json* member = stats_json->get("scheduler_runs")) {
-      result.stats.scheduler_runs = member->as_int();
-    }
-    if (const Json* member = stats_json->get("testgen_runs")) {
-      result.stats.testgen_runs = member->as_int();
-    }
+  reader.read("chip_text", result.chip_text);
+  reader.read("makespan", result.makespan);
+  reader.read("exec_original", result.exec_original);
+  reader.read("exec_dft_unoptimized", result.exec_dft_unoptimized);
+  reader.read("exec_dft_optimized", result.exec_dft_optimized);
+  reader.read("dft_valves", result.dft_valves);
+  reader.read("shared_valves", result.shared_valves);
+  reader.read("vectors", result.vectors);
+  reader.read("path_vectors", result.path_vectors);
+  reader.read("cut_vectors", result.cut_vectors);
+  reader.read("total_faults", result.total_faults);
+  reader.read("detected_faults", result.detected_faults);
+  reader.read("distinct_signatures", result.distinct_signatures);
+  reader.read("ambiguous_faults", result.ambiguous_faults);
+  reader.read("undetected_faults", result.undetected_faults);
+  reader.read("resolution", result.resolution);
+  if (const Json* stats_json = reader.get("stats")) {
+    ObjectReader stats(*stats_json, "JobResult stats");
+    stats.read("evaluations", result.stats.evaluations);
+    stats.read("cache_hits", result.stats.cache_hits);
+    stats.read("scheduler_runs", result.stats.scheduler_runs);
+    stats.read("testgen_runs", result.stats.testgen_runs);
   }
   return result;
 }

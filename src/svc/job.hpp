@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/eval_stats.hpp"
@@ -32,6 +33,11 @@ namespace mfd::svc {
 /// service accepts: each one starts an OS thread or process, so an
 /// unbounded value from a spec line or a flag would exhaust the host.
 inline constexpr int kMaxThreads = 256;
+
+/// Largest seed a spec accepts. JSON integers are int64, so a larger seed
+/// could not travel through to_json() and back.
+inline constexpr std::uint64_t kMaxSeed =
+    std::numeric_limits<std::int64_t>::max();
 
 enum class JobKind {
   /// Full DFT codesign flow (core::run_codesign) on a chip x assay pair.
@@ -96,6 +102,7 @@ struct JobSpec {
   /// results are identical for every value. 0 = hardware concurrency; at
   /// most kMaxThreads.
   int threads = 1;
+  /// At most kMaxSeed.
   std::uint64_t seed = 2024;
 
   /// Codesign knobs (defaults match CodesignOptions).
@@ -115,8 +122,9 @@ struct JobSpec {
   /// JSON object with every field (defaults included), deterministic order.
   [[nodiscard]] Json to_json() const;
 
-  /// Inverse of to_json(); absent fields keep their defaults, unknown fields
-  /// and type mismatches throw mfd::Error.
+  /// Inverse of to_json(); absent fields keep their defaults. An unknown
+  /// field, a type mismatch or an integer out of its field's range throws
+  /// mfd::Error naming the field.
   static JobSpec from_json(const Json& json);
 
   [[nodiscard]] bool operator==(const JobSpec&) const = default;
@@ -172,8 +180,9 @@ struct JobResult {
   [[nodiscard]] Json to_json() const;
 
   /// Inverse of to_json() — how the supervisor reconstructs a result from a
-  /// worker's output line. Absent fields keep their defaults; a missing or
-  /// unknown kind/outcome, or a type mismatch, throws mfd::Error.
+  /// worker's output line. Absent fields keep their defaults and unknown
+  /// ones are ignored; a missing or unknown kind/outcome, a type mismatch
+  /// or an integer out of its field's range throws mfd::Error.
   static JobResult from_json(const Json& json);
 };
 
@@ -197,10 +206,11 @@ struct ServiceMetrics {
   std::int64_t admitted_interactive = 0;
   std::int64_t admitted_bulk = 0;
   std::int64_t jobs_shed = 0;
-  /// Out-of-process execution (all 0 in-process): results computed in
-  /// another process, jobs requeued after a worker loss, jobs quarantined
-  /// as kUnavailable (stage "worker") after max_attempts losses, and
-  /// workers lost to crashes, stalls, torn output or hang-ups.
+  /// Out-of-process execution (all 0 when no worker was asked for): results
+  /// computed in another process, jobs requeued after a worker loss, jobs
+  /// quarantined as kUnavailable (stage "worker") after max_attempts
+  /// losses, and workers lost to crashes, stalls, torn output or hang-ups
+  /// or that failed to spawn.
   std::int64_t jobs_remote = 0;
   std::int64_t jobs_retried = 0;
   std::int64_t jobs_quarantined = 0;

@@ -429,7 +429,7 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
   return report;
 }
 
-int run_worker(std::istream& in, std::ostream& out,
+int run_worker(net::FramedConnection& requests, net::FramedConnection& results,
                const FaultInjectPlan* plan, core::FitnessCache* cache) {
   const FaultInjectPlan env_plan =
       plan == nullptr ? FaultInjectPlan::from_env() : FaultInjectPlan{};
@@ -438,18 +438,21 @@ int run_worker(std::istream& in, std::ostream& out,
   // Warm state for the worker's lifetime: chips/assays parsed once, served
   // to every later job over the same inputs (results are unaffected).
   JobContext context;
+  using ReadStatus = net::FramedConnection::ReadStatus;
   std::string line;
-  while (std::getline(in, line)) {
+  ReadStatus status = ReadStatus::kLine;
+  bool written = true;
+  while (written &&
+         (status = requests.read_line(&line)) == ReadStatus::kLine) {
     if (blank(line)) continue;
     int job = -1;
     int attempt = 0;
     JobResult result;
     try {
-      const Json request = Json::parse(line);
-      job = static_cast<int>(request.at("job").as_int());
-      if (const Json* member = request.get("attempt")) {
-        attempt = static_cast<int>(member->as_int());
-      }
+      const Json envelope = Json::parse(line);
+      ObjectReader request(envelope, "worker request");
+      if (!request.read("job", job)) request.fail("job", "is required");
+      request.read("attempt", attempt);
       const JobSpec spec = JobSpec::from_json(request.at("spec"));
 
       if (faults.fires(FaultPoint::kWorkerAbort, job, attempt)) {
@@ -475,21 +478,22 @@ int run_worker(std::istream& in, std::ostream& out,
     const std::string out_line = result.to_json().dump();
     if (faults.fires(FaultPoint::kTruncateOutput, job, attempt)) {
       // Injected torn write: half the record, no newline, then vanish.
-      out.write(out_line.data(),
-                static_cast<std::streamsize>(out_line.size() / 2));
-      out.flush();
+      const ssize_t torn =
+          ::write(results.fd(), out_line.data(), out_line.size() / 2);
+      (void)torn;
       std::_Exit(0);
     }
-    out << out_line << '\n';
-    out.flush();
-    if (!out) break;  // the supervisor is gone; nothing left to serve
+    // A failed write means the supervisor is gone: nothing left to serve.
+    written = results.write_line(out_line);
   }
-  // Persist what this worker learned before exiting — also on a failed
-  // write, since the results themselves were already computed and valid.
-  // Persist failures are swallowed: the cache is an accelerator, never a
-  // correctness dependency.
+  // Persist what this worker learned before exiting — also after a failed
+  // read or write, since the results themselves were already computed and
+  // valid. Persist failures are swallowed: the cache is an accelerator,
+  // never a correctness dependency.
   if (cache != nullptr) (void)cache->persist();
-  return out ? 0 : 1;
+  const bool clean_end =
+      status == ReadStatus::kEof && requests.partial_bytes() == 0;
+  return written && clean_end ? 0 : 1;
 }
 
 }  // namespace mfd::svc

@@ -20,12 +20,14 @@
 // a partial JSONL line behind.
 //
 // run_worker() is the other side of the worker wire: the loop behind
-// `mfdft_jobd --worker`, reading one request envelope per stdin line and
-// writing one JobResult line per job, with the common/fault_inject points
-// threaded through so crash recovery is testable hermetically.
+// `mfdft_jobd --worker` and a remote worker, reading one request envelope
+// per line and writing one JobResult line per job through
+// net::FramedConnection, the framing the supervising side speaks, with the
+// common/fault_inject points threaded through so crash recovery is
+// testable hermetically.
 //
-// The functions take streams, not paths, so tests drive them end-to-end
-// with stringstreams; the tools/ binary is a thin flag parser around them.
+// run_jobd() takes streams, not paths, so tests drive it end-to-end with
+// stringstreams; the tools/ binary is a thin flag parser around both.
 #pragma once
 
 #include <functional>
@@ -37,6 +39,7 @@
 #include "common/run_control.hpp"
 #include "common/trace.hpp"
 #include "core/fitness_cache.hpp"
+#include "net/framed.hpp"
 #include "svc/job.hpp"
 
 namespace mfd {
@@ -184,16 +187,18 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
                     std::vector<JobResult>* results = nullptr);
 
 /// Worker-mode loop: reads one request envelope
-/// ({"job":N,"attempt":A,"spec":{...}}) per line of `in`, runs the job
-/// in-process and writes one JobResult JSON line to `out` (flushed per
-/// line), until EOF. Malformed envelopes answer with a kInternalError
-/// result instead of exiting, keeping the lockstep protocol intact.
-/// `plan` overrides the MFDFT_FAULT_INJECT environment plan (tests);
-/// injected faults abort/stall/truncate exactly as specified. `cache` is
-/// the worker's fitness cache (borrowed, may be null), shared between its
-/// jobs and persisted at EOF when disk-backed. Returns 0 on clean EOF, 1
-/// when `out` failed (the driving process is gone).
-int run_worker(std::istream& in, std::ostream& out,
+/// ({"job":N,"attempt":A,"spec":{...}}) per line of `requests`, runs the
+/// job in-process and writes one JobResult line to `results`, until EOF.
+/// The two may be one connection (a socket). Malformed envelopes answer
+/// with a kInternalError result instead of exiting, keeping the lockstep
+/// protocol intact. `plan` overrides the MFDFT_FAULT_INJECT environment
+/// plan (tests); injected faults abort/stall/truncate exactly as specified.
+/// `cache` is the worker's fitness cache (borrowed, may be null), shared
+/// between its jobs and persisted when the loop ends. Returns 0 on a clean
+/// EOF; 1 when the requests broke off (a read error, a line over the cap,
+/// a torn last line: see requests.loss_detail()) or a result could not be
+/// written (the driving process is gone: see results.last_error()).
+int run_worker(net::FramedConnection& requests, net::FramedConnection& results,
                const FaultInjectPlan* plan = nullptr,
                core::FitnessCache* cache = nullptr);
 

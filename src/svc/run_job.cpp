@@ -56,11 +56,9 @@ sim::FaultUniverse resolve_universe(const JobSpec& spec) {
              : sim::FaultUniverse::kStuckAt;
 }
 
-void run_codesign_job(const JobSpec& spec, const RunControl* control,
-                      core::FitnessCache* cache, JobContext& context,
-                      JobResult& result) {
-  const arch::Biochip chip = context.chip_for(spec);
-  const sched::Assay assay = context.assay_for(spec);
+void run_codesign_job(const JobSpec& spec, const arch::Biochip& chip,
+                      const sched::Assay& assay, const RunControl* control,
+                      core::FitnessCache* cache, JobResult& result) {
   core::CodesignOptions options;
   options.outer_iterations = spec.outer_iterations;
   options.outer_particles = spec.outer_particles;
@@ -113,9 +111,8 @@ bool generate_suite(const JobSpec& spec, const RunControl* control,
   return false;
 }
 
-void run_testgen_job(const JobSpec& spec, const RunControl* control,
-                     JobContext& context, JobResult& result) {
-  const arch::Biochip chip = context.chip_for(spec);
+void run_testgen_job(const JobSpec& spec, const arch::Biochip& chip,
+                     const RunControl* control, JobResult& result) {
   std::optional<testgen::TestSuite> suite;
   if (!generate_suite(spec, control, chip, result, suite)) return;
   result.vectors = suite->size();
@@ -125,9 +122,8 @@ void run_testgen_job(const JobSpec& spec, const RunControl* control,
   result.detected_faults = suite->coverage.detected_faults;
 }
 
-void run_coverage_job(const JobSpec& spec, const RunControl* control,
-                      JobContext& context, JobResult& result) {
-  const arch::Biochip chip = context.chip_for(spec);
+void run_coverage_job(const JobSpec& spec, const arch::Biochip& chip,
+                      const RunControl* control, JobResult& result) {
   std::optional<testgen::TestSuite> suite;
   if (!generate_suite(spec, control, chip, result, suite)) return;
   const sim::CoverageReport report = sim::evaluate_coverage(
@@ -144,9 +140,8 @@ void run_coverage_job(const JobSpec& spec, const RunControl* control,
   result.detected_faults = report.detected_faults;
 }
 
-void run_diagnosis_job(const JobSpec& spec, const RunControl* control,
-                       JobContext& context, JobResult& result) {
-  const arch::Biochip chip = context.chip_for(spec);
+void run_diagnosis_job(const JobSpec& spec, const arch::Biochip& chip,
+                       const RunControl* control, JobResult& result) {
   std::optional<testgen::TestSuite> suite;
   if (!generate_suite(spec, control, chip, result, suite)) return;
   const sim::DiagnosisTable table = sim::build_diagnosis_table(
@@ -205,19 +200,31 @@ JobResult run_job(const JobSpec& spec, const RunControl* control,
       return result;
     }
   }
+  // The inputs, resolved once before dispatch: chip or assay text that
+  // does not parse is the caller's error, not the job's.
+  std::optional<arch::Biochip> chip;
+  std::optional<sched::Assay> assay;
+  try {
+    chip.emplace(inputs.chip_for(spec));
+    if (spec.kind == JobKind::kCodesign) assay.emplace(inputs.assay_for(spec));
+  } catch (const std::exception& e) {
+    result.status =
+        Status::Fail(Outcome::kInvalidOptions, "job_spec", e.what());
+    return result;
+  }
   try {
     switch (spec.kind) {
       case JobKind::kCodesign:
-        run_codesign_job(spec, control, cache, inputs, result);
+        run_codesign_job(spec, *chip, *assay, control, cache, result);
         break;
       case JobKind::kTestgen:
-        run_testgen_job(spec, control, inputs, result);
+        run_testgen_job(spec, *chip, control, result);
         break;
       case JobKind::kCoverage:
-        run_coverage_job(spec, control, inputs, result);
+        run_coverage_job(spec, *chip, control, result);
         break;
       case JobKind::kDiagnosis:
-        run_diagnosis_job(spec, control, inputs, result);
+        run_diagnosis_job(spec, *chip, control, result);
         break;
     }
   } catch (const std::exception& e) {

@@ -2,12 +2,13 @@
 //
 // run_job()'s deterministic result fields are a pure function of the spec
 // alone (the paper pipelines are seeded, never wall-clock driven): it
-// resolves the chip and assay, dispatches on the job kind, and returns a
-// JobResult. A shared FitnessCache only changes *how fast* that function is
-// computed — cache hits serve bit-identical values with logically identical
-// counters — never what it returns. Exceptions never escape; they come back
-// as Status kInternalError, so one malformed job cannot take down an
-// executor thread.
+// resolves the chip and assay once, dispatches on the job kind, and returns
+// a JobResult. A shared FitnessCache only changes *how fast* that function
+// is computed — cache hits serve bit-identical values with logically
+// identical counters — never what it returns. Exceptions never escape: an
+// invalid spec, or chip/assay text that does not parse, comes back as
+// kInvalidOptions (stage "job_spec"), and a failure inside the job as
+// kInternalError, so one malformed job cannot take down an executor thread.
 #pragma once
 
 #include <memory>

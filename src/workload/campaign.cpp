@@ -24,39 +24,6 @@ bool known_kind(const std::string& kind) {
   return svc::job_kind_from_name(kind, &parsed);
 }
 
-void read_string(const Json& json, const char* key, std::string& out) {
-  if (const Json* member = json.get(key)) out = member->as_string();
-}
-
-void read_int(const Json& json, const char* key, int& out) {
-  if (const Json* member = json.get(key)) {
-    out = static_cast<int>(member->as_int());
-  }
-}
-
-void read_uint64(const Json& json, const char* key, std::uint64_t& out) {
-  if (const Json* member = json.get(key)) {
-    const std::int64_t value = member->as_int();
-    MFD_REQUIRE(value >= 0, std::string("CampaignTier: '") + key +
-                                "' must be non-negative");
-    out = static_cast<std::uint64_t>(value);
-  }
-}
-
-void reject_unknown_keys(const Json& json, const char* const* known,
-                         std::size_t known_count, const char* who) {
-  for (const auto& [key, _] : json.as_object()) {
-    bool found = false;
-    for (std::size_t k = 0; k < known_count; ++k) {
-      if (key == known[k]) {
-        found = true;
-        break;
-      }
-    }
-    MFD_REQUIRE(found, std::string(who) + ": unknown field '" + key + "'");
-  }
-}
-
 /// Appends the tier's problems to `problems` ("" = tier is valid).
 void validate_tier(const CampaignTier& tier, int index,
                    std::string& problems) {
@@ -76,7 +43,10 @@ void validate_tier(const CampaignTier& tier, int index,
   }
   flag(tier.universe != "stuck_at" && tier.universe != "stuck_at_leakage",
        "universe must be 'stuck_at' or 'stuck_at_leakage'");
-  flag(tier.threads < 0, "threads must be >= 0");
+  flag(tier.threads < 0 || tier.threads > svc::kMaxThreads,
+       "threads must be in [0, " + std::to_string(svc::kMaxThreads) + "]");
+  flag(tier.job_seed > svc::kMaxSeed,
+       "job_seed must be at most " + std::to_string(svc::kMaxSeed));
   flag(tier.outer_iterations < 1, "outer_iterations must be >= 1");
   flag(tier.outer_particles < 1, "outer_particles must be >= 1");
   flag(tier.config_pool_size < 1, "config_pool_size must be >= 1");
@@ -107,31 +77,27 @@ Json CampaignTier::to_json() const {
 }
 
 CampaignTier CampaignTier::from_json(const Json& json) {
-  MFD_REQUIRE(json.is_object(),
-              "CampaignTier::from_json(): not a JSON object");
-  static const char* const kKnownKeys[] = {
-      "name",     "family",           "kinds",
-      "universe", "job_seed",         "threads",
-      "outer_iterations", "outer_particles", "config_pool_size"};
-  reject_unknown_keys(json, kKnownKeys, std::size(kKnownKeys),
-                      "CampaignTier::from_json()");
+  ObjectReader reader(json, "CampaignTier");
   CampaignTier tier;
-  read_string(json, "name", tier.name);
-  if (const Json* family = json.get("family")) {
+  reader.read("name", tier.name);
+  if (const Json* family = reader.get("family")) {
     tier.family = FamilySpec::from_json(*family);
   }
-  if (const Json* kinds = json.get("kinds")) {
+  if (const Json* kinds = reader.get("kinds")) {
+    if (!kinds->is_array()) reader.fail("kinds", "must be an array");
     tier.kinds.clear();
     for (const Json& kind : kinds->as_array()) {
+      if (!kind.is_string()) reader.fail("kinds", "must hold strings");
       tier.kinds.push_back(kind.as_string());
     }
   }
-  read_string(json, "universe", tier.universe);
-  read_uint64(json, "job_seed", tier.job_seed);
-  read_int(json, "threads", tier.threads);
-  read_int(json, "outer_iterations", tier.outer_iterations);
-  read_int(json, "outer_particles", tier.outer_particles);
-  read_int(json, "config_pool_size", tier.config_pool_size);
+  reader.read("universe", tier.universe);
+  reader.read("job_seed", tier.job_seed);
+  reader.read("threads", tier.threads);
+  reader.read("outer_iterations", tier.outer_iterations);
+  reader.read("outer_particles", tier.outer_particles);
+  reader.read("config_pool_size", tier.config_pool_size);
+  reader.reject_unread();
   return tier;
 }
 
@@ -164,18 +130,16 @@ Json CampaignSpec::to_json() const {
 }
 
 CampaignSpec CampaignSpec::from_json(const Json& json) {
-  MFD_REQUIRE(json.is_object(),
-              "CampaignSpec::from_json(): not a JSON object");
-  static const char* const kKnownKeys[] = {"name", "tiers"};
-  reject_unknown_keys(json, kKnownKeys, std::size(kKnownKeys),
-                      "CampaignSpec::from_json()");
+  ObjectReader reader(json, "CampaignSpec");
   CampaignSpec spec;
-  read_string(json, "name", spec.name);
-  if (const Json* tiers = json.get("tiers")) {
+  reader.read("name", spec.name);
+  if (const Json* tiers = reader.get("tiers")) {
+    if (!tiers->is_array()) reader.fail("tiers", "must be an array");
     for (const Json& tier : tiers->as_array()) {
       spec.tiers.push_back(CampaignTier::from_json(tier));
     }
   }
+  reader.reject_unread();
   return spec;
 }
 

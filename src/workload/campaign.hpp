@@ -37,7 +37,8 @@ struct CampaignTier {
   /// Fault universe for coverage/diagnosis jobs.
   std::string universe = "stuck_at";
   /// Per-job settings (JobSpec fields; threads is the *within-job*
-  /// evaluation parallelism and never changes result bytes).
+  /// evaluation parallelism and never changes result bytes). job_seed is at
+  /// most svc::kMaxSeed.
   std::uint64_t job_seed = 2024;
   int threads = 1;
   /// Codesign knobs for "codesign" kinds.

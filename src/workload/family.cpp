@@ -8,6 +8,7 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "sched/synthetic.hpp"
+#include "svc/job.hpp"
 #include "workload/fpva.hpp"
 
 namespace mfd::workload {
@@ -19,30 +20,6 @@ bool has_whitespace(const std::string& text) {
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return true;
   }
   return false;
-}
-
-/// Typed field readers: absent keys keep the default, wrong types throw.
-void read_string(const Json& json, const char* key, std::string& out) {
-  if (const Json* member = json.get(key)) out = member->as_string();
-}
-
-void read_double(const Json& json, const char* key, double& out) {
-  if (const Json* member = json.get(key)) out = member->as_double();
-}
-
-void read_int(const Json& json, const char* key, int& out) {
-  if (const Json* member = json.get(key)) {
-    out = static_cast<int>(member->as_int());
-  }
-}
-
-void read_uint64(const Json& json, const char* key, std::uint64_t& out) {
-  if (const Json* member = json.get(key)) {
-    const std::int64_t value = member->as_int();
-    MFD_REQUIRE(value >= 0, std::string("FamilySpec: '") + key +
-                                "' must be non-negative");
-    out = static_cast<std::uint64_t>(value);
-  }
 }
 
 /// Sweep position of member i: 0 at the min end, 1 at the max end; a
@@ -116,6 +93,8 @@ Status FamilySpec::validate() const {
   flag(kind != "fpva" && kind != "synthetic",
        "kind must be 'fpva' or 'synthetic'");
   flag(count < 1, "count must be >= 1");
+  flag(seed > svc::kMaxSeed,
+       "seed must be at most " + std::to_string(svc::kMaxSeed));
   flag(rows_min > rows_max, "rows_min must be <= rows_max");
   flag(cols_min > cols_max, "cols_min must be <= cols_max");
   flag(density_min > density_max, "density_min must be <= density_max");
@@ -173,44 +152,27 @@ Json FamilySpec::to_json() const {
 }
 
 FamilySpec FamilySpec::from_json(const Json& json) {
-  MFD_REQUIRE(json.is_object(), "FamilySpec::from_json(): not a JSON object");
-  static const char* const kKnownKeys[] = {
-      "name",          "kind",          "count",
-      "seed",          "rows_min",      "rows_max",
-      "cols_min",      "cols_max",      "density_min",
-      "density_max",   "ports",         "mixers",
-      "detectors",     "extra_channels", "assay_ops_min",
-      "assay_ops_max", "assay_chain_probability", "assay_detect_fraction"};
-  for (const auto& [key, _] : json.as_object()) {
-    bool known = false;
-    for (const char* candidate : kKnownKeys) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    MFD_REQUIRE(known,
-                "FamilySpec::from_json(): unknown field '" + key + "'");
-  }
+  ObjectReader reader(json, "FamilySpec");
   FamilySpec spec;
-  read_string(json, "name", spec.name);
-  read_string(json, "kind", spec.kind);
-  read_int(json, "count", spec.count);
-  read_uint64(json, "seed", spec.seed);
-  read_int(json, "rows_min", spec.rows_min);
-  read_int(json, "rows_max", spec.rows_max);
-  read_int(json, "cols_min", spec.cols_min);
-  read_int(json, "cols_max", spec.cols_max);
-  read_double(json, "density_min", spec.density_min);
-  read_double(json, "density_max", spec.density_max);
-  read_int(json, "ports", spec.ports);
-  read_int(json, "mixers", spec.mixers);
-  read_int(json, "detectors", spec.detectors);
-  read_int(json, "extra_channels", spec.extra_channels);
-  read_int(json, "assay_ops_min", spec.assay_ops_min);
-  read_int(json, "assay_ops_max", spec.assay_ops_max);
-  read_double(json, "assay_chain_probability", spec.assay_chain_probability);
-  read_double(json, "assay_detect_fraction", spec.assay_detect_fraction);
+  reader.read("name", spec.name);
+  reader.read("kind", spec.kind);
+  reader.read("count", spec.count);
+  reader.read("seed", spec.seed);
+  reader.read("rows_min", spec.rows_min);
+  reader.read("rows_max", spec.rows_max);
+  reader.read("cols_min", spec.cols_min);
+  reader.read("cols_max", spec.cols_max);
+  reader.read("density_min", spec.density_min);
+  reader.read("density_max", spec.density_max);
+  reader.read("ports", spec.ports);
+  reader.read("mixers", spec.mixers);
+  reader.read("detectors", spec.detectors);
+  reader.read("extra_channels", spec.extra_channels);
+  reader.read("assay_ops_min", spec.assay_ops_min);
+  reader.read("assay_ops_max", spec.assay_ops_max);
+  reader.read("assay_chain_probability", spec.assay_chain_probability);
+  reader.read("assay_detect_fraction", spec.assay_detect_fraction);
+  reader.reject_unread();
   return spec;
 }
 

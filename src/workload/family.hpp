@@ -31,6 +31,7 @@ struct FamilySpec {
   std::string kind = "fpva";
   /// Number of members; sizes interpolate from min to max across them.
   int count = 4;
+  /// At most svc::kMaxSeed.
   std::uint64_t seed = 1;
 
   /// Grid size sweep (rows x cols lattice nodes). Member i uses the
@@ -67,8 +68,9 @@ struct FamilySpec {
   /// JSON object with every field (defaults included), deterministic order.
   [[nodiscard]] Json to_json() const;
 
-  /// Inverse of to_json(); absent fields keep their defaults, unknown
-  /// fields and type mismatches throw mfd::Error.
+  /// Inverse of to_json(); absent fields keep their defaults. An unknown
+  /// field, a type mismatch or an integer out of its field's range throws
+  /// mfd::Error naming the field.
   static FamilySpec from_json(const Json& json);
 
   [[nodiscard]] bool operator==(const FamilySpec&) const = default;

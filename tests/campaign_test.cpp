@@ -73,6 +73,44 @@ TEST(CampaignSpecTest, UnknownFieldsThrow) {
   EXPECT_THROW(CampaignSpec::from_json(json), Error);
 }
 
+TEST(CampaignSpecTest, RangeChecksIntegersIntoTheirFields) {
+  // A family count past INT_MAX once wrapped (4294967298 -> 2 members).
+  Json json = Json::parse(R"({"tiers":[{"family":{"count":4294967298}}]})");
+  try {
+    (void)CampaignSpec::from_json(json);
+    FAIL() << "count 4294967298 parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("FamilySpec: 'count'"),
+              std::string::npos)
+        << e.what();
+  }
+  json = Json::parse(R"({"tiers":[{"threads":-4294967295}]})");
+  EXPECT_THROW((void)CampaignSpec::from_json(json), Error);
+  json = Json::parse(R"({"tiers":[{"kinds":"testgen"}]})");
+  EXPECT_THROW((void)CampaignSpec::from_json(json), Error);
+}
+
+TEST(CampaignSpecTest, BoundsWhatEveryJobCarriesAsItsJobSpecDoes) {
+  // Every job carries the tier's seed and threads. Past INT64_MAX the seed
+  // could not travel as a JSON integer, and past kMaxThreads each job's
+  // spec is invalid: either way the campaign would validate, then fail
+  // every job.
+  CampaignSpec spec = small_campaign();
+  spec.tiers[0].job_seed = svc::kMaxSeed;
+  spec.tiers[0].threads = svc::kMaxThreads;
+  EXPECT_TRUE(spec.validate().ok()) << spec.validate().to_string();
+  EXPECT_EQ(CampaignSpec::from_json(Json::parse(spec.to_json().dump())), spec);
+  spec.tiers[0].job_seed = std::uint64_t{1} << 63;
+  spec.tiers[0].threads = svc::kMaxThreads + 1;
+  const Status status = spec.validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message.find("job_seed must be at most"), std::string::npos)
+      << status.message;
+  EXPECT_NE(status.message.find("threads must be in [0, 256]"),
+            std::string::npos)
+      << status.message;
+}
+
 TEST(CampaignSpecTest, ListsEveryProblemWithTierPrefix) {
   CampaignSpec spec;
   spec.name = "bad campaign";  // whitespace

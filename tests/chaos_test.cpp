@@ -395,6 +395,26 @@ TEST_F(ChaosTest, ConnectExitsTwoOnIoErrorsAsBatchModeDoes) {
   daemon.stop();
 }
 
+TEST_F(ChaosTest, CampaignOpensItsOutputsBeforeItRuns) {
+  // An output that cannot be opened fails the campaign at once: exit 2,
+  // before any job runs or is journaled.
+  const std::string campaign = std::string(MFDFT_CAMPAIGN_BIN) +
+                               " --preset smoke --journal " +
+                               journal_dir().string();
+  const std::string unopenable = (dir_ / "no_such_dir" / "x").string();
+  for (const std::string& output :
+       {" --out " + unopenable, " --json " + unopenable}) {
+    EXPECT_EQ(run_cmd(campaign + output + " 2>/dev/null"), 2) << output;
+    EXPECT_EQ(journal_records(journal_dir()), 0) << output;
+  }
+  // A spec value its field cannot hold is refused as the spec is read.
+  const fs::path spec = dir_ / "campaign.json";
+  std::ofstream(spec) << R"({"tiers":[{"family":{"count":4294967298}}]})";
+  EXPECT_EQ(run_cmd(std::string(MFDFT_CAMPAIGN_BIN) + " --spec " +
+                    spec.string() + " 2>/dev/null"),
+            2);
+}
+
 TEST_F(ChaosTest, ConnectResumeOfACompleteJournalNeedsNoDaemon) {
   const std::string oracle = baseline();
 

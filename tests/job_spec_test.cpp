@@ -106,6 +106,21 @@ TEST(JobSpecValidate, BoundsTheDeadlineAtAYear) {
             std::string::npos);
 }
 
+TEST(JobSpecValidate, BoundsTheSeedAtInt64Max) {
+  // JSON integers are int64: a larger seed would validate, then fail to
+  // parse back in every job of the batch.
+  JobSpec spec = valid_testgen_spec();
+  spec.seed = kMaxSeed;
+  EXPECT_TRUE(spec.validate().ok());
+  EXPECT_EQ(JobSpec::from_json(Json::parse(spec.to_json().dump())), spec);
+  spec.seed = std::uint64_t{1} << 63;
+  const Status status = spec.validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message.find("seed must be at most 9223372036854775807"),
+            std::string::npos)
+      << status.message;
+}
+
 TEST(JobSpecValidate, RejectsBothChipAndChipText) {
   JobSpec spec = valid_testgen_spec();
   spec.chip_text = "chip x\ngrid 3 3\n";
@@ -205,6 +220,29 @@ TEST(JobSpecJson, RejectsUnknownFieldsAndBadKinds) {
   EXPECT_THROW(JobSpec::from_json(Json::parse(
                    R"({"kind":"testgen","seed":-5})")),
                Error);
+}
+
+TEST(JobSpecJson, RangeChecksIntegersIntoTheirFields) {
+  // Each value once wrapped silently into an int (4294967297 -> 1 thread).
+  for (const char* field : {"threads", "config_pool_size", "outer_iterations",
+                            "outer_particles"}) {
+    for (const char* value : {"4294967297", "-4294967295"}) {
+      const std::string line = std::string(R"({"kind":"codesign",")") +
+                               field + "\":" + value + "}";
+      try {
+        (void)JobSpec::from_json(Json::parse(line));
+        ADD_FAILURE() << line << " parsed";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("JobSpec: '") +
+                                             field + "' must be an integer"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_THROW((void)JobSpec::from_json(Json::parse(R"({"threads":"4"})")),
+               Error);
+  EXPECT_THROW((void)JobSpec::from_json(Json::parse(R"({"id":7})")), Error);
 }
 
 TEST(JobResultJson, CarriesStatusAndOnlyDeterministicFields) {
@@ -313,6 +351,23 @@ TEST(JobResultJson, FromJsonRejectsGarbage) {
                    R"({"index":0,"id":"","kind":"testgen",
                        "status":{"outcome":"half_done"}})")),
                Error);
+}
+
+TEST(JobResultJson, FromJsonRangeChecksIntegersAndIgnoresUnknownKeys) {
+  const std::string line =
+      R"({"index":4294967299,"kind":"testgen","status":{"outcome":"ok"}})";
+  try {
+    (void)JobResult::from_json(Json::parse(line));
+    FAIL() << "index 4294967299 parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("JobResult: 'index'"),
+              std::string::npos)
+        << e.what();
+  }
+  // Lenient, unlike a spec: a key this version does not know is ignored.
+  const JobResult result = JobResult::from_json(Json::parse(
+      R"({"index":3,"kind":"testgen","status":{"outcome":"ok"},"new":1})"));
+  EXPECT_EQ(result.index, 3);
 }
 
 TEST(JobKindNames, RoundTripThroughStrings) {

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -108,6 +109,42 @@ TEST(JobdTest, MalformedLinesKeepTheirSlotInTheOutput) {
             std::string::npos);
   EXPECT_EQ(Json::parse(lines[0]).at("status").at("outcome").as_string(), "ok");
   EXPECT_EQ(Json::parse(lines[3]).at("status").at("outcome").as_string(), "ok");
+}
+
+TEST(JobdTest, InputErrorsAreTypedAndNameNoSourceFile) {
+  // Each line is the caller's error. Its answer names the field and never
+  // a source file: a result's bytes must not depend on the checkout path
+  // or on the line numbers of unrelated edits.
+  const std::string input =
+      "{\"kind\":\"testgen\",\"chip\":\"IVD_chip\",\"frob\":1}\n"
+      "{\"kind\":\"testgen\",\"chip\":\"IVD_chip\","
+      "\"threads\":4294967297}\n"
+      "{\"kind\":\"codesign\",\"chip\":\"IVD_chip\",\"assay\":\"IVD\","
+      "\"config_pool_size\":-4294967295}\n"
+      "{\"kind\":\"testgen\","
+      "\"chip_text\":\"chip x\\ngrid 3 3\\nchannel 0 0 2 2\\n\"}\n"
+      "{\"kind\":\"codesign\",\"chip\":\"figure4_chip\","
+      "\"assay_text\":\"garbage\"}\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  const JobdReport report = run_jobd(in, out);
+  EXPECT_EQ(report.metrics.jobs_failed, 5);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 5u);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"parse", "'frob'"},
+      {"parse", "'threads'"},
+      {"parse", "'config_pool_size'"},
+      {"job_spec", "not 4-neighbours"},
+      {"job_spec", "read_assay()"}};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Json status = Json::parse(lines[i]).at("status");
+    const std::string& message = status.at("message").as_string();
+    EXPECT_EQ(status.at("outcome").as_string(), "invalid_options") << message;
+    EXPECT_EQ(status.at("stage").as_string(), expected[i].first) << message;
+    EXPECT_NE(message.find(expected[i].second), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+  }
 }
 
 TEST(JobdTest, BlankLinesAreSkippedWithoutOutput) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -158,6 +159,91 @@ TEST(JsonTest, IntOverflowFallsBackToDouble) {
   const Json parsed = Json::parse("123456789012345678901234567890");
   ASSERT_TRUE(parsed.is_double());
   EXPECT_DOUBLE_EQ(parsed.as_double(), 1.2345678901234568e29);
+}
+
+// ---- ObjectReader -----------------------------------------------------------
+
+/// The message of the mfd::Error `read` throws ("" when it throws none).
+template <typename Read>
+std::string error_of(Read read) {
+  try {
+    read();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ObjectReader, ReadsTypedFieldsAndKeepsAbsentOnes) {
+  const Json json = Json::parse(
+      R"({"name":"x","ratio":2,"count":-3,"seed":9223372036854775807})");
+  ObjectReader reader(json, "Thing");
+  std::string name;
+  double ratio = 0.0;
+  int count = 0;
+  std::uint64_t seed = 0;
+  int absent = 7;
+  EXPECT_TRUE(reader.read("name", name));
+  EXPECT_TRUE(reader.read("ratio", ratio));  // an integer widens
+  EXPECT_TRUE(reader.read("count", count));
+  EXPECT_TRUE(reader.read("seed", seed));
+  EXPECT_FALSE(reader.read("absent", absent));
+  EXPECT_EQ(name, "x");
+  EXPECT_EQ(ratio, 2.0);
+  EXPECT_EQ(count, -3);
+  EXPECT_EQ(seed, 9223372036854775807u);
+  EXPECT_EQ(absent, 7);
+  EXPECT_NO_THROW(reader.reject_unread());
+}
+
+TEST(ObjectReader, RangeChecksEachIntegerIntoItsFieldType) {
+  const Json json = Json::parse(
+      R"({"wide":4294967297,"low":-4294967295,"neg":-1,"real":1.5})");
+  ObjectReader reader(json, "Thing");
+  int narrow = 0;
+  EXPECT_EQ(error_of([&] { reader.read("wide", narrow); }),
+            "Thing: 'wide' must be an integer in [-2147483648, 2147483647]");
+  EXPECT_EQ(error_of([&] { reader.read("low", narrow); }),
+            "Thing: 'low' must be an integer in [-2147483648, 2147483647]");
+  std::uint64_t unsigned_field = 0;
+  EXPECT_EQ(error_of([&] { reader.read("neg", unsigned_field); }),
+            "Thing: 'neg' must be an integer in [0, 9223372036854775807]");
+  EXPECT_EQ(error_of([&] { reader.read("real", narrow); }),
+            "Thing: 'real' must be an integer in [-2147483648, 2147483647]");
+  EXPECT_EQ(narrow, 0);  // a rejected value is never stored
+  std::int64_t wide = 0;
+  EXPECT_TRUE(reader.read("wide", wide));
+  EXPECT_EQ(wide, 4294967297);
+}
+
+TEST(ObjectReader, NamesTheTypeAndKeyOfEveryError) {
+  const Json json = Json::parse(R"({"name":3,"ratio":"x","extra":null})");
+  ObjectReader reader(json, "Thing");
+  std::string name;
+  double ratio = 0.0;
+  EXPECT_EQ(error_of([&] { reader.read("name", name); }),
+            "Thing: 'name' must be a string");
+  EXPECT_EQ(error_of([&] { reader.read("ratio", ratio); }),
+            "Thing: 'ratio' must be a number");
+  EXPECT_EQ(error_of([&] { (void)reader.at("missing"); }),
+            "Thing: 'missing' is required");
+  EXPECT_EQ(error_of([&] { reader.reject_unread(); }),
+            "Thing: 'extra' is not a known field");
+  const Json list = Json::array();
+  EXPECT_EQ(error_of([&list] { ObjectReader reader(list, "Thing"); }),
+            "Thing: not a JSON object");
+  // The reader borrows its object: a temporary would dangle.
+  static_assert(!std::is_constructible_v<ObjectReader, Json&&, const char*>);
+}
+
+TEST(ObjectReader, RejectUnreadAcceptsEveryKeyAnyLookupAskedFor) {
+  const Json json = Json::parse(R"({"a":1,"nested":{"b":2}})");
+  ObjectReader reader(json, "Thing");
+  EXPECT_NE(reader.get("nested"), nullptr);
+  EXPECT_EQ(reader.get("absent"), nullptr);
+  EXPECT_THROW(reader.reject_unread(), Error);  // "a" is still unread
+  EXPECT_EQ(reader.at("a").as_int(), 1);
+  EXPECT_NO_THROW(reader.reject_unread());
 }
 
 }  // namespace

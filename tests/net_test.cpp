@@ -14,7 +14,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "net/fdstream.hpp"
 #include "net/listener.hpp"
 #include "net/socket.hpp"
 
@@ -135,25 +134,6 @@ TEST(FramedConnection, OverlongLineIsAnErrorNotUnboundedGrowth) {
   EXPECT_LE(reader.partial_bytes(), FramedConnection::kMaxLineBytes + 4096);
   reader.close();  // the writer's next write fails instead of blocking
   writer.join();
-}
-
-TEST(FdDuplexStream, CarriesIostreamTrafficOverASocket) {
-  int fds[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FramedConnection peer(fds[0]);
-  {
-    FdDuplexStream stream(fds[1]);  // borrows the fd
-    stream.out() << "from iostream land\n";
-    stream.out().flush();
-    std::string line;
-    ASSERT_TRUE(peer.write_line("from framed land"));
-    ASSERT_TRUE(std::getline(stream.in(), line));
-    EXPECT_EQ(line, "from framed land");
-  }
-  std::string line;
-  ASSERT_EQ(peer.read_line(&line), FramedConnection::ReadStatus::kLine);
-  EXPECT_EQ(line, "from iostream land");
-  ::close(fds[1]);
 }
 
 /// Waits up to 5 s for `listener` to report a pending connection, as the

@@ -24,6 +24,7 @@
 
 #include "common/fault_inject.hpp"
 #include "common/json.hpp"
+#include "net/framed.hpp"
 #include "svc/executor.hpp"
 #include "svc/job.hpp"
 #include "svc/jobd.hpp"
@@ -198,10 +199,13 @@ TEST(SupervisorTest, SpawnFailureDegradesToInProcessExecution) {
   ServiceMetrics metrics;
   const std::vector<JobResult> results = run(specs, options, &metrics);
 
-  // No worker ever spawned, yet the batch completes with the same bytes.
+  // No worker ever spawned, yet the batch completes with the same bytes,
+  // and the summary line shows both lost workers.
   ASSERT_EQ(results.size(), specs.size());
   EXPECT_EQ(result_lines(results), dispatcher_baseline(specs));
   EXPECT_EQ(metrics.jobs_ok, 9);
+  EXPECT_EQ(metrics.workers_lost, 2);
+  EXPECT_EQ(metrics.jobs_remote, 0);
 }
 
 TEST(SupervisorTest, ValidateRejectsBadOptions) {
@@ -238,6 +242,42 @@ TEST(SupervisorTest, BackoffDelayIsDeterministicBoundedAndGrowing) {
   EXPECT_GE(backoff_delay_s(7, 3, 9, 0.05, 2.0), 0.5 * 2.0 * 0.5);
 }
 
+/// What run_worker() did with one request stream.
+struct WorkerRun {
+  int rc = -1;
+  std::vector<std::string> lines;
+  /// The request side's loss_detail() when the loop ended.
+  std::string loss;
+};
+
+/// Runs the worker loop in-process over two pipes, the way `mfdft_jobd
+/// --worker` runs on its stdin and stdout: `input` is the whole request
+/// stream, written raw.
+WorkerRun run_worker_over_pipes(const std::string& input) {
+  int requests[2] = {-1, -1};
+  int results[2] = {-1, -1};
+  EXPECT_EQ(::pipe(requests), 0);
+  EXPECT_EQ(::pipe(results), 0);
+  // The requests fit the pipe buffer, so they go in before the loop runs.
+  EXPECT_EQ(::write(requests[1], input.data(), input.size()),
+            static_cast<ssize_t>(input.size()));
+  ::close(requests[1]);
+  net::FramedConnection request_end(requests[0]);
+  net::FramedConnection result_end(results[1]);
+  net::FramedConnection reader(results[0]);
+  const FaultInjectPlan no_faults;
+  WorkerRun run;
+  run.rc = run_worker(request_end, result_end, &no_faults);
+  run.loss = request_end.loss_detail();
+  result_end.close();
+  std::string line;
+  while (reader.read_line(&line) == net::FramedConnection::ReadStatus::kLine) {
+    run.lines.push_back(line);
+  }
+  EXPECT_EQ(reader.partial_bytes(), 0u);
+  return run;
+}
+
 TEST(SupervisorTest, RunWorkerSpeaksTheEnvelopeProtocol) {
   // Drive the worker loop in-process: two envelopes in, two result lines
   // out, each answering its request's job index.
@@ -253,33 +293,38 @@ TEST(SupervisorTest, RunWorkerSpeaksTheEnvelopeProtocol) {
   second.set("job", Json(static_cast<std::int64_t>(2)));
   second.set("spec", spec.to_json());
 
-  std::istringstream in(first.dump() + "\n" + second.dump() + "\n");
-  std::ostringstream out;
-  const FaultInjectPlan no_faults;
-  EXPECT_EQ(run_worker(in, out, &no_faults), 0);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  const Json reply1 = Json::parse(line);
+  const WorkerRun run =
+      run_worker_over_pipes(first.dump() + "\n" + second.dump() + "\n");
+  EXPECT_EQ(run.rc, 0);
+  ASSERT_EQ(run.lines.size(), 2u);
+  const Json reply1 = Json::parse(run.lines[0]);
   EXPECT_EQ(reply1.at("index").as_int(), 5);
   EXPECT_EQ(reply1.at("status").at("outcome").as_string(), "ok");
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(Json::parse(line).at("index").as_int(), 2);
-  EXPECT_FALSE(std::getline(lines, line));
+  EXPECT_EQ(Json::parse(run.lines[1]).at("index").as_int(), 2);
 }
 
 TEST(SupervisorTest, RunWorkerAnswersMalformedEnvelopesInLockstep) {
   // A garbage request still yields exactly one reply line; the protocol
   // never skews and the driving process sees a typed error, not a hang.
-  std::istringstream in("{\"job\":1}\n");
-  std::ostringstream out;
-  const FaultInjectPlan no_faults;
-  EXPECT_EQ(run_worker(in, out, &no_faults), 0);
-  const Json reply = Json::parse(out.str());
+  const WorkerRun run = run_worker_over_pipes("{\"job\":1}\n");
+  EXPECT_EQ(run.rc, 0);
+  ASSERT_EQ(run.lines.size(), 1u);
+  const Json reply = Json::parse(run.lines[0]);
   EXPECT_EQ(reply.at("index").as_int(), 1);
   EXPECT_EQ(reply.at("status").at("outcome").as_string(), "internal_error");
   EXPECT_EQ(reply.at("status").at("stage").as_string(), "worker_protocol");
+}
+
+TEST(SupervisorTest, RunWorkerReportsATornLastRequest) {
+  // A request cut off mid-line (its supervisor died writing it) is never
+  // read as a whole one: the loop answers the complete lines, then ends
+  // with 1 and says what it discarded.
+  const WorkerRun run =
+      run_worker_over_pipes("{\"job\":1}\n{\"job\":2,\"spec\":{");
+  EXPECT_EQ(run.rc, 1);
+  ASSERT_EQ(run.lines.size(), 1u);
+  EXPECT_EQ(Json::parse(run.lines[0]).at("index").as_int(), 1);
+  EXPECT_NE(run.loss.find("torn line"), std::string::npos) << run.loss;
 }
 
 TEST(SupervisorTest, RunJobdWithWorkersMatchesThreadsByteForByte) {

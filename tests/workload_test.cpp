@@ -16,6 +16,7 @@
 #include "sim/batch_fault.hpp"
 #include "sim/diagnosis.hpp"
 #include "sim/pressure.hpp"
+#include "svc/job.hpp"
 #include "workload/family.hpp"
 #include "workload/fpva.hpp"
 
@@ -176,6 +177,18 @@ TEST(FamilySpecTest, AbsentFieldsKeepDefaultsAndUnknownFieldsThrow) {
   Json json = Json::object();
   json.set("typo_field", Json(std::int64_t{1}));
   EXPECT_THROW(FamilySpec::from_json(json), Error);
+}
+
+TEST(FamilySpecTest, BoundsTheSeedAtInt64Max) {
+  FamilySpec spec;
+  spec.seed = svc::kMaxSeed;
+  EXPECT_TRUE(spec.validate().ok()) << spec.validate().to_string();
+  EXPECT_EQ(FamilySpec::from_json(Json::parse(spec.to_json().dump())), spec);
+  spec.seed = std::uint64_t{1} << 63;
+  const Status status = spec.validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message.find("seed must be at most"), std::string::npos)
+      << status.message;
 }
 
 TEST(FamilySpecTest, ListsEveryBadFieldInOneStatus) {

@@ -54,6 +54,7 @@
 #include "workload/campaign.hpp"
 #include "batch_flags.hpp"
 #include "flags.hpp"
+#include "output_file.hpp"
 
 namespace {
 
@@ -230,27 +231,26 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", argv[0], expanded.to_string().c_str());
       return 2;
     }
-    std::ofstream jobs_file(emit_jobs_path);
-    if (!jobs_file) {
-      std::fprintf(stderr, "%s: cannot open '%s'\n", argv[0],
-                   emit_jobs_path.c_str());
-      return 2;
-    }
+    mfd::tools::OutputFile jobs_file;
+    if (!jobs_file.open(argv[0], emit_jobs_path)) return 2;
     for (const mfd::workload::CampaignJob& job : jobs) {
-      jobs_file << job.spec.to_json().dump() << '\n';
+      jobs_file.stream() << job.spec.to_json().dump() << '\n';
     }
-    jobs_file.flush();
-    if (!jobs_file) {
-      std::fprintf(stderr, "%s: write to '%s' failed\n", argv[0],
-                   emit_jobs_path.c_str());
-      return 2;
-    }
+    if (!jobs_file.finish(argv[0])) return 2;
     std::fprintf(stderr, "mfdft_campaign: %zu jobs -> %s\n", jobs.size(),
                  emit_jobs_path.c_str());
     return 0;
   }
 
   if (!batch.resolve_connect(argv[0])) return 2;
+  // The outputs open before the campaign runs: a path that cannot be
+  // written fails at once, not after every job has run and been journaled.
+  mfd::tools::OutputFile out_file;
+  mfd::tools::OutputFile json_file;
+  if (!out_file.open(argv[0], out_path) ||
+      !json_file.open(argv[0], json_path)) {
+    return 2;
+  }
   mfd::workload::CampaignOutcome outcome;
   const mfd::Status run_status = batch.run_draining([&] {
     return mfd::workload::run_campaign(spec, {batch.options}, &outcome);
@@ -259,30 +259,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], run_status.to_string().c_str());
     return batch.unfinished_status(outcome.jobd);
   }
-
-  if (!out_path.empty()) {
-    std::ofstream out_file(out_path, std::ios::binary);
-    if (!out_file) {
-      std::fprintf(stderr, "%s: cannot open output '%s'\n", argv[0],
-                   out_path.c_str());
-      return 2;
-    }
-    out_file << outcome.results_jsonl;
-    out_file.flush();
-    if (!out_file) {
-      std::fprintf(stderr, "%s: write to '%s' failed\n", argv[0],
-                   out_path.c_str());
-      return 2;
-    }
-  }
-  if (!json_path.empty()) {
-    try {
-      outcome.report.to_json().save(json_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-  }
+  if (out_file) out_file.stream() << outcome.results_jsonl;
+  if (json_file) json_file.stream() << outcome.report.to_json().dump() << '\n';
+  if (!out_file.finish(argv[0]) || !json_file.finish(argv[0])) return 2;
 
   const mfd::workload::CampaignReport& report = outcome.report;
   std::fprintf(stderr,

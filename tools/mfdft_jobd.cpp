@@ -84,14 +84,18 @@
 #include <chrono>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "core/fitness_cache.hpp"
+#include "net/framed.hpp"
 #include "svc/daemon.hpp"
 #include "svc/jobd.hpp"
 #include "svc/run_job.hpp"
 #include "batch_flags.hpp"
 #include "flags.hpp"
+#include "output_file.hpp"
 
 namespace {
 
@@ -225,10 +229,15 @@ int main(int argc, char** argv) {
                    served);
       return served > 0 ? 0 : 2;
     }
+    mfd::net::FramedConnection requests(STDIN_FILENO);
+    mfd::net::FramedConnection results(STDOUT_FILENO);
     const int rc =
-        mfd::svc::run_worker(std::cin, std::cout, nullptr, cache.get());
+        mfd::svc::run_worker(requests, results, nullptr, cache.get());
     if (rc != 0) {
-      std::fprintf(stderr, "%s: worker: write to stdout failed\n", argv[0]);
+      const std::string why = results.last_error().empty()
+                                  ? requests.loss_detail()
+                                  : results.last_error();
+      std::fprintf(stderr, "%s: worker: %s\n", argv[0], why.c_str());
     }
     return rc;
   }
@@ -242,34 +251,23 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::ofstream out_file;
-  if (!out_path.empty()) {
-    out_file.open(out_path);
-    if (!out_file) {
-      std::fprintf(stderr, "%s: cannot open output '%s'\n", argv[0],
-                   out_path.c_str());
-      return 2;
-    }
+  mfd::tools::OutputFile out_file;
+  mfd::tools::OutputFile trace_file;
+  if (!out_file.open(argv[0], out_path, /*stdout_if_empty=*/true) ||
+      !trace_file.open(argv[0], trace_path)) {
+    return 2;
   }
-  std::ofstream trace_file;
   std::optional<mfd::JsonlTraceSink> trace_sink;
   std::unique_ptr<mfd::Tracer> tracer;
-  if (!trace_path.empty()) {
-    trace_file.open(trace_path);
-    if (!trace_file) {
-      std::fprintf(stderr, "%s: cannot open trace '%s'\n", argv[0],
-                   trace_path.c_str());
-      return 2;
-    }
-    trace_sink.emplace(trace_file);
+  if (trace_file) {
+    trace_sink.emplace(trace_file.stream());
     tracer = std::make_unique<mfd::Tracer>(&*trace_sink);
     options.tracer = tracer.get();
   }
 
   std::istream& in = in_path.empty() ? std::cin : in_file;
-  std::ostream& out = out_path.empty() ? std::cout : out_file;
   const mfd::svc::JobdReport report = batch.run_draining(
-      [&] { return mfd::svc::run_jobd(in, out, options); });
+      [&] { return mfd::svc::run_jobd(in, out_file.stream(), options); });
   if (!report.journal_status.ok()) {
     std::fprintf(stderr, "%s: journal: %s\n", argv[0],
                  report.journal_status.to_string().c_str());
@@ -280,14 +278,9 @@ int main(int argc, char** argv) {
                  report.connection.to_string().c_str());
     return batch.unfinished_status(report);
   }
-  // run_jobd flushes; a bad stream here means results were lost downstream
-  // (file error or a closed pipe) — fail loudly rather than exit 0 on a
-  // truncated results file.
-  if (!out) {
-    std::fprintf(stderr, "%s: write to '%s' failed; results are incomplete\n",
-                 argv[0], out_path.empty() ? "<stdout>" : out_path.c_str());
-    return 2;
-  }
+  // A failed write means results were lost downstream (a file error or a
+  // closed pipe): fail loudly rather than exit 0 on a truncated file.
+  if (!out_file.finish(argv[0]) || !trace_file.finish(argv[0])) return 2;
 
   std::string journal_summary;
   if (!options.journal_dir.empty()) {
