@@ -345,8 +345,8 @@ struct JobDaemon::Impl {
       task.spec = std::make_shared<const JobSpec>(
           JobSpec::from_json(Json::parse(line)));
     } catch (const std::exception& e) {
-      core.deliver(*peer.session,
-                   parse_error_result(task.index, peer.lines, e.what()));
+      core.deliver(*peer.session, parse_error_result(task.index, peer.lines,
+                                                     line, e.what()));
       return;
     }
     JobClass job_class;

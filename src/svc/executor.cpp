@@ -126,13 +126,15 @@ struct ExecutionCore::Link {
   }
 };
 
-ExecutionCore::ExecutionCore(const Policy& policy, core::FitnessCache* cache)
+ExecutionCore::ExecutionCore(const Policy& policy, core::FitnessCache* cache,
+                             SuiteMemo* suites)
     // Clamped so a daemon's invalid options surface through its start()
     // as a Status instead of a precondition throw here.
     : policy_(policy),
       queue_(std::max<std::size_t>(policy.capacity, 1), kJobClassCount,
              policy.age_promote_s),
       cache_(cache),
+      suites_(suites),
       cache_built_(cache != nullptr ? cache->stats()
                                     : core::FitnessCacheStats{}) {}
 
@@ -319,7 +321,7 @@ JobResult ExecutionCore::run_here(const Task& task) {
                                 ? task.spec->deadline_s
                                 : policy_.default_deadline_s;
   if (deadline_s > 0.0) control.set_timeout(deadline_s);
-  return run_job(*task.spec, &control, cache_, &context_);
+  return run_job(*task.spec, &control, cache_, &context_, suites_);
 }
 
 void ExecutionCore::finish(const Task& task, JobResult result,

@@ -5,9 +5,10 @@
 // svc::PriorityQueue (interactive work ahead of bulk codesign, with aging)
 // and executor threads drain it. An executor is one of three kinds:
 //
-//   - an in-process slot runs run_job() against the core's warm JobContext
-//     and shared fitness cache, under a per-job RunControl armed with the
-//     job's deadline and linked to the batch's drain control;
+//   - an in-process slot runs run_job() against the core's warm JobContext,
+//     shared fitness cache and, in a batch, the batch's SuiteMemo, under a
+//     per-job RunControl armed with the job's deadline and linked to the
+//     batch's drain control;
 //   - a worker-pipe slot ships each task to an `mfdft_jobd --worker`
 //     subprocess, kills it when no result arrives within the stall timeout,
 //     and respawns it when it dies;
@@ -103,8 +104,10 @@ class ExecutionCore {
     Tracer* tracer = nullptr;
   };
 
-  /// No executor runs until add_*() starts one.
-  ExecutionCore(const Policy& policy, core::FitnessCache* cache);
+  /// No executor runs until add_*() starts one. `cache` and `suites` are
+  /// borrowed, may be null, and serve in-process jobs only.
+  ExecutionCore(const Policy& policy, core::FitnessCache* cache,
+                SuiteMemo* suites = nullptr);
   /// close()s if still open.
   ~ExecutionCore();
 
@@ -182,6 +185,7 @@ class ExecutionCore {
   const Policy policy_;
   PriorityQueue<Task> queue_;
   core::FitnessCache* cache_ = nullptr;
+  SuiteMemo* suites_ = nullptr;
   JobContext context_;
   const std::chrono::steady_clock::time_point built_ =
       std::chrono::steady_clock::now();

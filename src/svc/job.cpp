@@ -319,6 +319,7 @@ std::string ServiceMetrics::summary() const {
   add(cache_shared_hits, "cache hits");
   add(cache_entries, "cache entries");
   add(cache_disk_loaded, "cache entries warm from disk");
+  add(suites_reused, "suites reused");
   char wall[64];
   std::snprintf(wall, sizeof wall, " in %.2fs wall, max queue wait %.3fs",
                 wall_seconds, queue_wait_seconds_max);
@@ -326,9 +327,21 @@ std::string ServiceMetrics::summary() const {
 }
 
 JobResult parse_error_result(int index, int line_number,
+                             const std::string& line,
                              const std::string& what) {
   JobResult result;
   result.index = index;
+  try {
+    const Json json = Json::parse(line);
+    const Json* kind = json.is_object() ? json.get("kind") : nullptr;
+    if (kind != nullptr && kind->is_string() &&
+        job_kind_from_name(kind->as_string(), &result.kind)) {
+      const Json* id = json.get("id");
+      if (id != nullptr && id->is_string()) result.id = id->as_string();
+    }
+  } catch (const std::exception&) {
+    // Not JSON: nothing to echo.
+  }
   result.status =
       Status::Fail(Outcome::kInvalidOptions, "parse",
                    "line " + std::to_string(line_number) + ": " + what);

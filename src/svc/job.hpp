@@ -228,6 +228,11 @@ struct ServiceMetrics {
   std::int64_t cache_shared_misses = 0;
   std::int64_t cache_entries = 0;
   std::int64_t cache_disk_loaded = 0;
+  /// In-process batch jobs served a multiport suite another job of the
+  /// batch generated (svc/run_job.hpp SuiteMemo). Above one thread it
+  /// depends on timing, like cache_shared_hits; 0 for the daemon and for
+  /// worker batches.
+  std::int64_t suites_reused = 0;
   /// Queue latency (admission -> start) over delivered results, and the
   /// owner's wall time, seconds.
   double queue_wait_seconds_total = 0.0;
@@ -250,9 +255,13 @@ struct ServiceMetrics {
 /// skipped line still counts in the "line N" of parse errors.
 [[nodiscard]] bool blank(const std::string& line);
 
-/// The answer a malformed spec line gets in its slot `index`:
-/// kInvalidOptions, stage "parse", "line <line_number>: <what>".
+/// The answer a malformed spec `line` gets in its slot `index`:
+/// kInvalidOptions, stage "parse", "line <line_number>: <what>". When the
+/// line is a JSON object whose "kind" names a job kind, the answer carries
+/// that kind and, when it is a string, the line's "id"; otherwise it keeps
+/// JobResult's defaults (kind testgen, empty id).
 [[nodiscard]] JobResult parse_error_result(int index, int line_number,
+                                           const std::string& line,
                                            const std::string& what);
 
 }  // namespace mfd::svc

@@ -231,9 +231,14 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
   policy.max_attempts = options.max_attempts;
   policy.control = options.control;
   policy.tracer = options.tracer;
-  ExecutionCore core(policy, cache);
+  // In-process jobs over one chip and seed share its multiport suite;
+  // worker processes generate their own.
+  SuiteMemo suites;
+  SuiteMemo* memo = options.workers > 0 ? nullptr : &suites;
+  ExecutionCore core(policy, cache, memo);
   for (const int slot : slots) {
     const JobSpec& spec = specs[static_cast<std::size_t>(slot)];
+    if (memo != nullptr) memo->expect(spec);
     Task task;
     task.spec = std::shared_ptr<const JobSpec>(std::shared_ptr<void>(), &spec);
     task.sink = sink;
@@ -262,7 +267,8 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
   }
   sink->wait();
   (void)core.close();
-  const ServiceMetrics metrics = core.metrics();
+  ServiceMetrics metrics = core.metrics();
+  metrics.suites_reused = suites.hits();
   if (options.tracer != nullptr) {
     options.tracer->counter("svc.jobs_ok", metrics.jobs_ok);
     options.tracer->counter("svc.jobs_stopped", metrics.jobs_stopped);
@@ -297,7 +303,8 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
       batch.state.push_back(Slot::kPending);
     } catch (const std::exception& e) {
       batch.specs.emplace_back();
-      batch.results.push_back(parse_error_result(index, line_number, e.what()));
+      batch.results.push_back(
+          parse_error_result(index, line_number, line, e.what()));
       batch.state.push_back(Slot::kParseError);
     }
     if (keep_lines) {

@@ -165,7 +165,10 @@ struct JobdReport {
 /// Runs specs[i] for every i in `slots` on the execution core — worker
 /// subprocesses when options.workers > 0, in-process threads otherwise —
 /// and stores each result in results[i] (index i), which must have room.
-/// `cache` (borrowed, may be null) is shared by in-process jobs;
+/// `cache` (borrowed, may be null) is shared by in-process jobs, and so is
+/// a SuiteMemo (svc/run_job.hpp) counted over `slots`: jobs over one chip
+/// and seed generate its multiport suite once, as far as the executors'
+/// timing allows (suites_reused counts the jobs served a stored one).
 /// `on_result` (may be empty) sees every final result once, on an executor
 /// thread. Blocks until every listed job has a result and returns the
 /// core's metrics of the batch; throws mfd::Error when the options are

@@ -35,11 +35,13 @@ sched::Assay build_assay(const JobSpec& spec) {
 }
 
 /// The cached value for `key`, built outside the lock on a miss (`build`
-/// can be slow: chip_text can be large). Last writer wins; both writers
-/// built the same deterministic value.
+/// can be slow: chip_text can be large). The first value stored stays; a
+/// racing second build is dropped (both built the same deterministic
+/// value).
 template <typename T, typename Build>
-T cached(std::mutex& mutex, std::unordered_map<std::string, T>& values,
-         const std::string& key, Build build) {
+T cached(std::mutex& mutex,
+         std::unordered_map<Hash128, T, Hash128Hasher>& values,
+         const Hash128& key, Build build) {
   {
     const std::lock_guard<std::mutex> lock(mutex);
     const auto it = values.find(key);
@@ -48,6 +50,15 @@ T cached(std::mutex& mutex, std::unordered_map<std::string, T>& values,
   T value = build();
   const std::lock_guard<std::mutex> lock(mutex);
   return values.emplace(key, std::move(value)).first->second;
+}
+
+/// A named source and an inline text of the same bytes are distinct keys
+/// (their parse paths differ).
+Hash128 source_key(const std::string& name, const std::string& text) {
+  ContentHasher hasher;
+  hasher.mix_bool(!text.empty());
+  hasher.mix_bytes(!text.empty() ? text : name);
+  return hasher.digest();
 }
 
 sim::FaultUniverse resolve_universe(const JobSpec& spec) {
@@ -89,16 +100,27 @@ void run_codesign_job(const JobSpec& spec, const arch::Biochip& chip,
 }
 
 /// Shared front half of testgen/coverage/diagnosis jobs: the multiport test
-/// suite of the chip as-is. Returns false (with result.status set) when
-/// generation stopped or found the chip untestable.
-bool generate_suite(const JobSpec& spec, const RunControl* control,
-                    const arch::Biochip& chip, JobResult& result,
-                    std::optional<testgen::TestSuite>& suite) {
+/// suite of the chip as-is, taken from `suites` when the batch stored it.
+/// Returns null (with result.status set) when generation stopped or found
+/// the chip untestable; neither is stored.
+std::shared_ptr<const testgen::TestSuite> generate_suite(
+    const JobSpec& spec, const Hash128& chip_hash, const arch::Biochip& chip,
+    const RunControl* control, SuiteMemo* suites, JobResult& result) {
+  const Hash128 key = suite_key(chip_hash, spec.seed);
+  if (suites != nullptr) {
+    if (auto suite = suites->take(key)) return suite;
+  }
   testgen::VectorGenOptions options;
   options.seed = spec.seed;
   options.control = control;
-  suite = testgen::generate_test_suite_multiport(chip, options);
-  if (suite.has_value()) return true;
+  std::optional<testgen::TestSuite> generated =
+      testgen::generate_test_suite_multiport(chip, options);
+  if (generated.has_value()) {
+    auto suite =
+        std::make_shared<const testgen::TestSuite>(std::move(*generated));
+    if (suites != nullptr) suites->put(key, suite);
+    return suite;
+  }
   const StopReason stop =
       control != nullptr ? control->stop_observed() : StopReason::kNone;
   if (stop != StopReason::kNone) {
@@ -108,26 +130,22 @@ bool generate_suite(const JobSpec& spec, const RunControl* control,
     result.status = Status::Fail(Outcome::kInfeasible, "testgen",
                                  "no complete multiport test suite exists");
   }
-  return false;
+  return nullptr;
 }
 
-void run_testgen_job(const JobSpec& spec, const arch::Biochip& chip,
-                     const RunControl* control, JobResult& result) {
-  std::optional<testgen::TestSuite> suite;
-  if (!generate_suite(spec, control, chip, result, suite)) return;
-  result.vectors = suite->size();
-  result.path_vectors = suite->path_vector_count();
-  result.cut_vectors = suite->cut_vector_count();
-  result.total_faults = suite->coverage.total_faults;
-  result.detected_faults = suite->coverage.detected_faults;
+void run_testgen_job(const testgen::TestSuite& suite, JobResult& result) {
+  result.vectors = suite.size();
+  result.path_vectors = suite.path_vector_count();
+  result.cut_vectors = suite.cut_vector_count();
+  result.total_faults = suite.coverage.total_faults;
+  result.detected_faults = suite.coverage.detected_faults;
 }
 
 void run_coverage_job(const JobSpec& spec, const arch::Biochip& chip,
+                      const testgen::TestSuite& suite,
                       const RunControl* control, JobResult& result) {
-  std::optional<testgen::TestSuite> suite;
-  if (!generate_suite(spec, control, chip, result, suite)) return;
   const sim::CoverageReport report = sim::evaluate_coverage(
-      chip, suite->vectors, resolve_universe(spec), control);
+      chip, suite.vectors, resolve_universe(spec), control);
   const StopReason stop =
       control != nullptr ? control->stop_observed() : StopReason::kNone;
   if (stop != StopReason::kNone) {
@@ -135,18 +153,16 @@ void run_coverage_job(const JobSpec& spec, const arch::Biochip& chip,
                                  "stopped during coverage evaluation");
     return;
   }
-  result.vectors = suite->size();
+  result.vectors = suite.size();
   result.total_faults = report.total_faults;
   result.detected_faults = report.detected_faults;
 }
 
 void run_diagnosis_job(const JobSpec& spec, const arch::Biochip& chip,
-                       const RunControl* control, JobResult& result) {
-  std::optional<testgen::TestSuite> suite;
-  if (!generate_suite(spec, control, chip, result, suite)) return;
+                       const testgen::TestSuite& suite, JobResult& result) {
   const sim::DiagnosisTable table = sim::build_diagnosis_table(
-      chip, suite->vectors, resolve_universe(spec));
-  result.vectors = suite->size();
+      chip, suite.vectors, resolve_universe(spec));
+  result.vectors = suite.size();
   result.total_faults = static_cast<int>(table.signature_of_fault.size());
   result.distinct_signatures = table.distinct_signatures();
   result.ambiguous_faults = table.ambiguous_faults();
@@ -156,21 +172,65 @@ void run_diagnosis_job(const JobSpec& spec, const arch::Biochip& chip,
 
 }  // namespace
 
-arch::Biochip JobContext::chip_for(const JobSpec& spec) {
-  // Key by the source, not the result: a named chip and an inline text of
-  // the same chip are distinct cache entries (their parse paths differ).
-  const std::string key = !spec.chip_text.empty() ? "text:" + spec.chip_text
-                                                  : "name:" + spec.chip;
+Hash128 chip_key(const JobSpec& spec) {
+  return source_key(spec.chip, spec.chip_text);
+}
+
+Hash128 suite_key(const Hash128& chip, std::uint64_t seed) {
+  ContentHasher hasher;
+  hasher.mix(chip.hi);
+  hasher.mix(chip.lo);
+  hasher.mix(seed);
+  return hasher.digest();
+}
+
+arch::Biochip JobContext::chip_for(const JobSpec& spec, const Hash128& key) {
   return cached(mutex_, chips_, key, [&spec] { return build_chip(spec); });
 }
 
 sched::Assay JobContext::assay_for(const JobSpec& spec) {
-  // Same keying rule as chip_for(): named assays and inline text are
-  // distinct cache entries.
-  const std::string key = !spec.assay_text.empty()
-                              ? "text:" + spec.assay_text
-                              : "name:" + spec.assay;
-  return cached(mutex_, assays_, key, [&spec] { return build_assay(spec); });
+  return cached(mutex_, assays_, source_key(spec.assay, spec.assay_text),
+                [&spec] { return build_assay(spec); });
+}
+
+void SuiteMemo::expect(const JobSpec& spec) {
+  if (spec.kind == JobKind::kCodesign || !spec.validate().ok()) return;
+  const Hash128 key = suite_key(chip_key(spec), spec.seed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++expected_[key];
+}
+
+std::shared_ptr<const testgen::TestSuite> SuiteMemo::take(const Hash128& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto expected = expected_.find(key);
+  if (expected == expected_.end()) return nullptr;
+  const auto stored = suites_.find(key);
+  std::shared_ptr<const testgen::TestSuite> suite;
+  if (stored != suites_.end()) {
+    suite = stored->second;
+    ++hits_;
+  }
+  if (--expected->second == 0) {
+    expected_.erase(expected);
+    if (stored != suites_.end()) suites_.erase(stored);
+  }
+  return suite;
+}
+
+void SuiteMemo::put(const Hash128& key,
+                    std::shared_ptr<const testgen::TestSuite> suite) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (expected_.count(key) != 0) suites_.emplace(key, std::move(suite));
+}
+
+std::int64_t SuiteMemo::hits() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return hits_;
+}
+
+std::size_t SuiteMemo::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return suites_.size();
 }
 
 std::unique_ptr<core::FitnessCache> open_fitness_cache(const std::string& dir,
@@ -182,7 +242,8 @@ std::unique_ptr<core::FitnessCache> open_fitness_cache(const std::string& dir,
 }
 
 JobResult run_job(const JobSpec& spec, const RunControl* control,
-                  core::FitnessCache* cache, JobContext* context) {
+                  core::FitnessCache* cache, JobContext* context,
+                  SuiteMemo* suites) {
   JobContext local;  // a job without a warm context parses its own inputs
   JobContext& inputs = context != nullptr ? *context : local;
   JobResult result;
@@ -202,10 +263,11 @@ JobResult run_job(const JobSpec& spec, const RunControl* control,
   }
   // The inputs, resolved once before dispatch: chip or assay text that
   // does not parse is the caller's error, not the job's.
+  const Hash128 chip_hash = chip_key(spec);
   std::optional<arch::Biochip> chip;
   std::optional<sched::Assay> assay;
   try {
-    chip.emplace(inputs.chip_for(spec));
+    chip.emplace(inputs.chip_for(spec, chip_hash));
     if (spec.kind == JobKind::kCodesign) assay.emplace(inputs.assay_for(spec));
   } catch (const std::exception& e) {
     result.status =
@@ -213,19 +275,17 @@ JobResult run_job(const JobSpec& spec, const RunControl* control,
     return result;
   }
   try {
-    switch (spec.kind) {
-      case JobKind::kCodesign:
-        run_codesign_job(spec, *chip, *assay, control, cache, result);
-        break;
-      case JobKind::kTestgen:
-        run_testgen_job(spec, *chip, control, result);
-        break;
-      case JobKind::kCoverage:
-        run_coverage_job(spec, *chip, control, result);
-        break;
-      case JobKind::kDiagnosis:
-        run_diagnosis_job(spec, *chip, control, result);
-        break;
+    if (spec.kind == JobKind::kCodesign) {
+      run_codesign_job(spec, *chip, *assay, control, cache, result);
+    } else if (const auto suite = generate_suite(spec, chip_hash, *chip,
+                                                 control, suites, result)) {
+      if (spec.kind == JobKind::kTestgen) {
+        run_testgen_job(*suite, result);
+      } else if (spec.kind == JobKind::kCoverage) {
+        run_coverage_job(spec, *chip, *suite, control, result);
+      } else {
+        run_diagnosis_job(spec, *chip, *suite, result);
+      }
     }
   } catch (const std::exception& e) {
     result.status =

@@ -251,6 +251,7 @@ Json CampaignReport::to_json() const {
   out.set("jobs_quarantined", Json(metrics.jobs_quarantined));
   out.set("workers_lost", Json(metrics.workers_lost));
   out.set("jobs_resumed", Json(metrics.jobs_resumed));
+  out.set("suites_reused", Json(metrics.suites_reused));
   out.set("interrupted", Json(interrupted));
   out.set("chips", Json(std::int64_t{chips}));
   out.set("valves_min", Json(std::int64_t{valves_min}));

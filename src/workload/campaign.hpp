@@ -108,8 +108,9 @@ struct CampaignReport {
   std::string campaign;
   int jobs = 0;
   /// The batch's service metrics (svc/job.hpp): outcome buckets, recovery
-  /// counters (retries, quarantines, worker losses, resumed jobs) and wall
-  /// time, as run_jobd() counted them.
+  /// counters (retries, quarantines, worker losses, resumed jobs), multiport
+  /// suites reused across a member's jobs and wall time, as run_jobd()
+  /// counted them.
   svc::ServiceMetrics metrics;
   /// True when the batch was drained by a stop signal before completing —
   /// the journal (if any) makes the campaign resumable.

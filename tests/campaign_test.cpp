@@ -217,6 +217,9 @@ TEST(CampaignRunTest, ReportAggregatesTheBatch) {
   EXPECT_EQ(report.rows[0].outcome, "ok");
   EXPECT_GT(report.rows[0].vectors, 0);
   EXPECT_GT(report.rows[1].total_faults, 0);
+  // On one thread each FPVA member's coverage job takes the suite its
+  // testgen job generated.
+  EXPECT_EQ(report.metrics.suites_reused, 2);
 
   // The JSON payload carries the aggregate and one row per job.
   const Json json = report.to_json();
@@ -230,6 +233,7 @@ TEST(CampaignRunTest, ReportAggregatesTheBatch) {
   EXPECT_EQ(json.at("workers_lost").as_int(), 0);
   EXPECT_EQ(json.at("jobs_resumed").as_int(), 0);
   EXPECT_EQ(json.at("jobs_stopped").as_int(), 0);
+  EXPECT_EQ(json.at("suites_reused").as_int(), 2);
   EXPECT_FALSE(json.at("interrupted").as_bool());
 }
 

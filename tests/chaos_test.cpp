@@ -332,8 +332,13 @@ TEST_F(ChaosTest, CampaignThroughDaemonMatchesInProcessRun) {
   const Json local = Json::parse(read_file(local_json));
   const Json remote = Json::parse(read_file(json));
   EXPECT_GT(remote.at("wall_seconds").as_double(), 0.0);
+  // Only a local batch shares multiport suites between a member's jobs;
+  // the daemon's jobs each generate their own.
+  EXPECT_EQ(local.at("suites_reused").as_int(), 4);
+  EXPECT_EQ(remote.at("suites_reused").as_int(), 0);
   for (const auto& [key, value] : local.as_object()) {
     if (key == "wall_seconds" || key == "rows") continue;  // wall clocks
+    if (key == "suites_reused") continue;  // checked above
     EXPECT_EQ(remote.at(key).dump(), value.dump()) << key;
   }
 }

@@ -19,6 +19,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "arch/chips.hpp"
+#include "arch/serialize.hpp"
 #include "common/json.hpp"
 #include "net/framed.hpp"
 #include "net/socket.hpp"
@@ -462,13 +464,13 @@ int thread_count() {
   return threads;
 }
 
-/// VmSize of this process in KiB.
-long vm_size_kb() {
+/// A /proc/self/status field of this process in KiB ("VmSize:", "VmRSS:").
+long status_kb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string key;
   while (status >> key) {
     long value = 0;
-    if (key == "VmSize:" && status >> value) return value;
+    if (key == field && status >> value) return value;
     std::string rest;
     std::getline(status, rest);
   }
@@ -529,17 +531,74 @@ TEST(JobDaemon, EveryConnectionGetsOneWellFormedResultAndLeavesNothing) {
   JobDaemon daemon(fast_daemon_options());
   ASSERT_TRUE(daemon.start().ok());
   for (int i = 0; i < 8; ++i) (void)one_shot(daemon.port(), line);  // warm
-  const long before_kb = vm_size_kb();
+  const long before_kb = status_kb("VmSize:");
   ASSERT_GT(before_kb, 0);
   for (int i = 0; i < 400; ++i) {
     const std::vector<std::string> answers = one_shot(daemon.port(), line);
     ASSERT_EQ(answers.size(), 1u) << "connection " << i;
     ASSERT_EQ(answers[0] + "\n", expected) << "connection " << i;
   }
-  EXPECT_LT(vm_size_kb() - before_kb, 64 * 1024);
+  EXPECT_LT(status_kb("VmSize:") - before_kb, 64 * 1024);
   daemon.stop();
   EXPECT_EQ(daemon.metrics().clients_served, 408);
   EXPECT_EQ(daemon.metrics().jobs_total, 408);
+}
+
+TEST(JobDaemon, DistinctInlineChipsKeepNoTextWarm) {
+  // The daemon's JobContext keys parsed chips by a content hash of their
+  // text, so 200 chips that differ only in a 256 KiB comment keep 200
+  // small parsed chips warm and none of the 50 MiB of text.
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's quarantine keeps every freed line resident";
+#endif
+  const std::string chip = arch::chip_to_string(arch::make_figure4_chip());
+  const std::string padding(256 * 1024, 'x');
+  const auto line_for = [&](int i) {
+    JobSpec spec;
+    spec.kind = JobKind::kTestgen;
+    spec.chip_text = chip + "# " + std::to_string(i) + padding + "\n";
+    return spec.to_json().dump();
+  };
+  JobDaemon daemon(fast_daemon_options());
+  ASSERT_TRUE(daemon.start().ok());
+  const std::vector<std::string> first = one_shot(daemon.port(), line_for(-1));
+  ASSERT_EQ(first.size(), 1u);
+  for (int i = 0; i < 8; ++i) (void)one_shot(daemon.port(), line_for(-2 - i));
+  const long before_kb = status_kb("VmRSS:");
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<std::string> answers =
+        one_shot(daemon.port(), line_for(i));
+    ASSERT_EQ(answers.size(), 1u) << "job " << i;
+    ASSERT_EQ(answers[0], first[0]) << "job " << i;
+  }
+  EXPECT_LT(status_kb("VmRSS:") - before_kb, 16 * 1024);
+  daemon.stop();
+  EXPECT_EQ(daemon.metrics().jobs_ok, 209);
+}
+
+TEST(JobDaemon, ParseErrorsCarryTheLinesKindAndIdAsInABatch) {
+  JobDaemon daemon(fast_daemon_options());
+  ASSERT_TRUE(daemon.start().ok());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{\"kind\":\"codesign\",\"id\":\"c1\",\"chip\":\"IVD_chip\","
+       "\"assay\":\"IVD\",\"config_pool_size\":-4294967295}",
+       "codesign"},
+      {"{\"kind\":\"coverage\",\"id\":\"v1\",\"chip\":\"IVD_chip\","
+       "\"frob\":1}",
+       "coverage"},
+      {"not json", "testgen"}};
+  for (const auto& [line, kind] : cases) {
+    const std::vector<std::string> answers = one_shot(daemon.port(), line);
+    ASSERT_EQ(answers.size(), 1u) << line;
+    // The daemon answers the line as a local batch does, byte for byte.
+    EXPECT_EQ(answers[0] + "\n", jobd_baseline(line + "\n")) << line;
+    const JobResult result = JobResult::from_json(Json::parse(answers[0]));
+    EXPECT_EQ(result.status.stage, "parse") << answers[0];
+    EXPECT_EQ(to_string(result.kind), kind) << answers[0];
+  }
+  daemon.stop();
+  EXPECT_EQ(daemon.metrics().parse_errors, 3);
 }
 
 TEST(JobDaemon, DeeplyNestedLineGetsAParseResultAndTheDaemonKeepsServing) {

@@ -147,6 +147,40 @@ TEST(JobdTest, InputErrorsAreTypedAndNameNoSourceFile) {
   }
 }
 
+TEST(JobdTest, ParseErrorsCarryTheLinesKindAndId) {
+  // A spec line that is a JSON object naming a job kind is answered as that
+  // kind, with its id; any other line keeps JobResult's defaults.
+  const std::string input =
+      "{\"kind\":\"codesign\",\"id\":\"c1\",\"chip\":\"IVD_chip\","
+      "\"assay\":\"IVD\",\"config_pool_size\":-4294967295}\n"
+      "{\"kind\":\"coverage\",\"id\":\"v1\",\"chip\":\"IVD_chip\","
+      "\"frob\":1}\n"
+      "not json\n"
+      "{\"kind\":\"nope\",\"id\":\"n1\"}\n"
+      "{\"id\":\"m1\",\"frob\":1}\n"
+      "{\"kind\":\"diagnosis\",\"id\":7,\"frob\":1}\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  const JobdReport report = run_jobd(in, out);
+  EXPECT_EQ(report.metrics.parse_errors, 6);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 6u);
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"codesign", "c1"}, {"coverage", "v1"}, {"testgen", ""},
+      {"testgen", ""},    {"testgen", ""},    {"diagnosis", ""}};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const JobResult result = JobResult::from_json(Json::parse(lines[i]));
+    EXPECT_EQ(result.status.stage, "parse") << lines[i];
+    EXPECT_EQ(to_string(result.kind), expected[i].first) << lines[i];
+    EXPECT_EQ(result.id, expected[i].second) << lines[i];
+  }
+  // Each line carries its own kind's fields.
+  EXPECT_NE(lines[0].find("\"dft_valves\""), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[0].find("\"path_vectors\""), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[1].find("\"path_vectors\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines[2].find("\"path_vectors\""), std::string::npos) << lines[2];
+}
+
 TEST(JobdTest, BlankLinesAreSkippedWithoutOutput) {
   const std::string input =
       "\n" + job_line(JobKind::kTestgen, "only", "figure4_chip") + "\n   \n\n";
