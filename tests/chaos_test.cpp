@@ -305,6 +305,40 @@ TEST_F(ChaosTest, CampaignCrashThenResumeIsByteIdentical) {
   EXPECT_NE(report.find("\"workers_lost\""), std::string::npos);
 }
 
+/// The per-batch suite memo (svc/run_job.hpp) through the real tools.
+class SuiteMemoTest : public ChaosTest {};
+
+TEST_F(SuiteMemoTest, ScalePresetIsByteEqualAcrossThreadsWorkersAndResume) {
+  // The scale campaign: a member's jobs share a suite in different orders
+  // at 1, 2 and 4 threads, not at all under worker processes, and only in
+  // part after a crash at job 10 and a resume.
+  const std::string campaign =
+      std::string(MFDFT_CAMPAIGN_BIN) + " --preset scale";
+  const auto run = [&](const std::string& flags, const std::string& name) {
+    const fs::path out = dir_ / name;
+    EXPECT_EQ(run_cmd(campaign + " " + flags + " --out " + out.string() +
+                      " 2>/dev/null"),
+              0)
+        << flags;
+    return read_file(out);
+  };
+  const std::string oracle = run("--threads 1", "t1.jsonl");
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_EQ(run("--threads 2", "t2.jsonl"), oracle);
+  EXPECT_EQ(run("--threads 4", "t4.jsonl"), oracle);
+  EXPECT_EQ(run("--workers 2", "w2.jsonl"), oracle);
+
+  EXPECT_EQ(run_cmd("MFDFT_FAULT_INJECT=daemon_crash@job=10 " + campaign +
+                    " --threads 1 --out " + (dir_ / "resumed.jsonl").string() +
+                    " --journal " + journal_dir().string() + " 2>/dev/null"),
+            kFaultExitCode);
+  EXPECT_EQ(journal_records(journal_dir()), 11);
+  EXPECT_EQ(run("--threads 1 --journal " + journal_dir().string() +
+                    " --resume",
+                "resumed.jsonl"),
+            oracle);
+}
+
 TEST_F(ChaosTest, CampaignThroughDaemonMatchesInProcessRun) {
   // --connect: the in-process run's results bytes and report counters, and
   // the campaign's own wall time.

@@ -1,24 +1,16 @@
 // The per-batch suite memo (svc/run_job.hpp SuiteMemo): the testgen,
 // coverage and diagnosis jobs of one chip and seed generate its multiport
 // test suite once per batch, with every result byte equal to jobs that
-// each generated their own — across thread counts, worker processes and a
-// crash followed by a resume of the real campaign tool.
+// each generated their own. The scale preset through the real tools is
+// SuiteMemoTest.ScalePreset... in chaos_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "arch/serialize.hpp"
-#include "common/fault_inject.hpp"
 #include "common/run_control.hpp"
 #include "svc/job.hpp"
 #include "svc/jobd.hpp"
@@ -27,8 +19,6 @@
 
 namespace mfd::svc {
 namespace {
-
-namespace fs = std::filesystem;
 
 /// A campaign member's three jobs: one chip, one seed.
 std::vector<JobSpec> member_jobs(const std::string& chip_text,
@@ -158,57 +148,6 @@ TEST(SuiteMemoTest, AKeyCountedOnceIsNeverStored) {
   ASSERT_TRUE(run_job(specs[1], nullptr, nullptr, nullptr, &memo).status.ok());
   EXPECT_EQ(memo.size(), 0u);
   EXPECT_EQ(memo.hits(), 0);
-}
-
-/// Runs a shell command and returns its exit status (-1 if not a clean
-/// exit).
-int run_cmd(const std::string& command) {
-  const int rc = std::system(command.c_str());
-  if (rc == -1 || !WIFEXITED(rc)) return -1;
-  return WEXITSTATUS(rc);
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-TEST(SuiteMemoTest, ScalePresetIsByteEqualAcrossThreadsWorkersAndResume) {
-  // The scale campaign through the real tool: a member's jobs meet in
-  // different orders at 1, 2 and 4 threads, not at all under worker
-  // processes, and only partly after a crash at job 10 and a resume.
-  const fs::path dir = fs::temp_directory_path() /
-                       ("mfdft_suite_memo_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string campaign =
-      std::string(MFDFT_CAMPAIGN_BIN) + " --preset scale";
-  const auto run = [&](const std::string& flags, const std::string& name) {
-    const fs::path out = dir / name;
-    EXPECT_EQ(run_cmd(campaign + " " + flags + " --out " + out.string() +
-                      " 2>/dev/null"),
-              0)
-        << flags;
-    return read_file(out);
-  };
-  const std::string oracle = run("--threads 1", "t1.jsonl");
-  ASSERT_FALSE(oracle.empty());
-  EXPECT_EQ(run("--threads 2", "t2.jsonl"), oracle);
-  EXPECT_EQ(run("--threads 4", "t4.jsonl"), oracle);
-  EXPECT_EQ(run("--workers 2", "w2.jsonl"), oracle);
-
-  const fs::path journal = dir / "journal";
-  const fs::path resumed = dir / "resumed.jsonl";
-  EXPECT_EQ(run_cmd("MFDFT_FAULT_INJECT=daemon_crash@job=10 " + campaign +
-                    " --threads 1 --out " + resumed.string() + " --journal " +
-                    journal.string() + " 2>/dev/null"),
-            kFaultExitCode);
-  EXPECT_EQ(run("--threads 1 --journal " + journal.string() + " --resume",
-                "resumed.jsonl"),
-            oracle);
-  std::error_code ec;
-  fs::remove_all(dir, ec);
 }
 
 }  // namespace
