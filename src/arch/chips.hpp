@@ -28,4 +28,15 @@ Biochip make_figure4_chip();
 /// All paper benchmark chips (IVD, RA30, mRNA) in evaluation order.
 std::vector<Biochip> make_paper_chips();
 
+/// A chip a job spec may name, with its builder.
+struct NamedChip {
+  const char* name;
+  Biochip (*make)();
+};
+
+/// Every chip a job spec may name, in the order messages list them.
+inline constexpr NamedChip kNamedChips[] = {
+    {"IVD_chip", make_ivd_chip}, {"RA30_chip", make_ra30_chip},
+    {"mRNA_chip", make_mrna_chip}, {"figure4_chip", make_figure4_chip}};
+
 }  // namespace mfd::arch

@@ -19,35 +19,28 @@ bool on_boundary(const ConnectionGrid& grid, graph::NodeId n) {
 }  // namespace
 
 Status SyntheticChipSpec::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
-  flag(ports < 2, "ports must be >= 2");
-  flag(grid_width < 3 || grid_height < 3, "grid must be at least 3x3");
-  flag(mixers < 0, "mixers must be >= 0");
-  flag(detectors < 0, "detectors must be >= 0");
-  flag(extra_channels < 0, "extra_channels must be >= 0");
+  Problems problems;
+  problems.flag(ports < 2, "ports must be >= 2");
+  problems.flag(grid_width < 3 || grid_height < 3, "grid must be at least 3x3");
+  problems.flag(mixers < 0, "mixers must be >= 0");
+  problems.flag(detectors < 0, "detectors must be >= 0");
+  problems.flag(extra_channels < 0, "extra_channels must be >= 0");
   if (grid_width >= 3 && grid_height >= 3) {
     // Boundary ring and interior block of the grid; each port/device takes
     // one node from its region.
     const int boundary_nodes = 2 * (grid_width + grid_height) - 4;
     const int interior_nodes = (grid_width - 2) * (grid_height - 2);
-    flag(ports > boundary_nodes,
-         "not enough boundary nodes for the requested ports (" +
-             std::to_string(ports) + " > " + std::to_string(boundary_nodes) +
-             ")");
-    flag(mixers >= 0 && detectors >= 0 &&
-             mixers + detectors > interior_nodes,
-         "not enough interior nodes for the requested devices (" +
-             std::to_string(mixers + detectors) + " > " +
-             std::to_string(interior_nodes) + ")");
+    problems.flag(ports > boundary_nodes,
+                  "not enough boundary nodes for the requested ports (" +
+                      std::to_string(ports) + " > " +
+                      std::to_string(boundary_nodes) + ")");
+    problems.flag(mixers >= 0 && detectors >= 0 &&
+                      mixers + detectors > interior_nodes,
+                  "not enough interior nodes for the requested devices (" +
+                      std::to_string(mixers + detectors) + " > " +
+                      std::to_string(interior_nodes) + ")");
   }
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "synthetic_chip_spec",
-                      std::move(problems));
+  return problems.status("synthetic_chip_spec");
 }
 
 Biochip make_synthetic_chip(const SyntheticChipSpec& spec, Rng& rng) {

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace mfd {
 
@@ -60,6 +61,24 @@ struct Status {
 
   static Status Ok() { return {}; }
   static Status Fail(Outcome outcome, std::string stage, std::string message);
+};
+
+/// The problem list every validate() builds: each flagged problem joins the
+/// message with "; ", so one Status reports all violations at once.
+struct Problems {
+  std::string message;
+
+  /// Adds `what` when `bad`.
+  void flag(bool bad, const std::string& what) {
+    if (!bad) return;
+    if (!message.empty()) message += "; ";
+    message += what;
+  }
+  /// Ok() when nothing was flagged, else kInvalidOptions at `stage`.
+  [[nodiscard]] Status status(std::string stage) const {
+    if (message.empty()) return Status::Ok();
+    return Status::Fail(Outcome::kInvalidOptions, std::move(stage), message);
+  }
 };
 
 }  // namespace mfd

@@ -45,35 +45,13 @@ SharingScheme decode_sharing(const arch::Biochip& augmented,
 }  // namespace
 
 Status CodesignOptions::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const char* what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
-  flag(config_pool_size < 1, "config_pool_size must be >= 1");
-  flag(outer_particles < 1, "outer_particles must be >= 1");
-  flag(outer_iterations < 1, "outer_iterations must be >= 1");
-  flag(inner.particles < 1, "inner.particles must be >= 1");
-  flag(inner.iterations < 0, "inner.iterations must be >= 0");
-  flag(!(inner.vmax > 0.0), "inner.vmax must be > 0");
-  flag(unoptimized_attempts < 0, "unoptimized_attempts must be >= 0");
-  flag(threads < 0, "threads must be >= 0");
-  flag(plan.initial_paths < 1, "plan.initial_paths must be >= 1");
-  flag(plan.max_paths < plan.initial_paths,
-       "plan.max_paths must be >= plan.initial_paths");
-  flag(!(plan.time_limit_seconds > 0.0),
-       "plan.time_limit_seconds must be > 0");
-  flag(!(sched.transport_time_per_edge > 0.0),
-       "sched.transport_time_per_edge must be > 0");
-  flag(sched.route_retries < 0, "sched.route_retries must be >= 0");
-  flag(sched.detour_tolerance < 0, "sched.detour_tolerance must be >= 0");
-  flag(!(sched.time_limit > 0.0), "sched.time_limit must be > 0");
-  flag(vectors.attempts_per_fault < 1,
-       "vectors.attempts_per_fault must be >= 1");
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "options",
-                      std::move(problems));
+  Problems problems;
+  problems.flag(config_pool_size < 1, "config_pool_size must be >= 1");
+  problems.flag(outer_particles < 1, "outer_particles must be >= 1");
+  problems.flag(outer_iterations < 1, "outer_iterations must be >= 1");
+  problems.flag(unoptimized_attempts < 0, "unoptimized_attempts must be >= 0");
+  problems.flag(threads < 0, "threads must be >= 0");
+  return problems.status("options");
 }
 
 arch::Biochip apply_sharing(const arch::Biochip& augmented,
@@ -165,12 +143,11 @@ CodesignResult run_codesign(const arch::Biochip& chip,
   EvalStats baseline;
 
   // Stage options with the control threaded in, so a stop aborts in-flight
-  // baseline work too. The final assembly deliberately uses the caller's
-  // plain options: it regenerates already-validated artifacts and must not
-  // be truncated.
-  sched::ScheduleOptions sched_opts = options.sched;
-  sched_opts.control = control;
-  testgen::PathPlanOptions plan_opts = options.plan;
+  // baseline work too. The final assembly deliberately uses plain default
+  // options: it regenerates already-validated artifacts and must not be
+  // truncated.
+  const sched::ScheduleOptions sched_opts{.control = control};
+  testgen::PathPlanOptions plan_opts;
   plan_opts.control = control;
 
   if (check_stop("start")) {
@@ -272,14 +249,11 @@ CodesignResult run_codesign(const arch::Biochip& chip,
                                        : options.threads);
   result.threads_used = pool.thread_count();
   Evaluator evaluator(EvaluatorOptions{.assay = &assay,
-                                       .sched = options.sched,
-                                       .vectors = options.vectors,
                                        .pool = &pool,
                                        .control = control,
                                        .cache = options.cache});
   for (std::size_t i = 0; i < augmented.size(); ++i) {
-    evaluator.add_config(augmented[i],
-                         result.pool[i]);
+    evaluator.add_config(augmented[i], result.pool[i]);
   }
 
   const int n_dft = result.dft_valve_count;
@@ -331,6 +305,14 @@ CodesignResult run_codesign(const arch::Biochip& chip,
   // The outer loop itself stays serial (it owns the RNG streams and the
   // inner-seed sequence); parallelism lives inside the inner sub-swarm's
   // batched fitness evaluation.
+  //
+  // The sub-swarm has the paper's 5 particles and runs two iterations per
+  // outer evaluation: it is warm-started at the outer particle's current
+  // sharing vector, so refinement accumulates across outer iterations. The
+  // outer velocity update uses pso's coefficients with a looser clamp.
+  constexpr int kInnerParticles = 5;
+  constexpr int kInnerIterations = 2;
+  constexpr double kOuterVmax = 0.3;
   const int pool_size = evaluator.config_count();
   int max_dft = 0;
   for (int c = 0; c < pool_size; ++c) {
@@ -378,9 +360,10 @@ CodesignResult run_codesign(const arch::Biochip& chip,
             static_cast<std::ptrdiff_t>(selector_dims),
         particle.position.begin() +
             static_cast<std::ptrdiff_t>(selector_dims + config_dft));
-    pso::PsoOptions inner = options.inner;
-    inner.seed = inner_seed++;
-    inner.control = control;
+    const pso::PsoOptions inner{.particles = kInnerParticles,
+                                .iterations = kInnerIterations,
+                                .seed = inner_seed++,
+                                .control = control};
     const pso::PsoResult inner_result = pso::minimize(
         config_dft,
         [&](std::span<const std::vector<double>> positions,
@@ -445,10 +428,6 @@ CodesignResult run_codesign(const arch::Biochip& chip,
     }
   }
 
-  constexpr double kOmega = 0.72;
-  constexpr double kC1 = 1.49;
-  constexpr double kC2 = 1.49;
-  constexpr double kVmax = 0.3;
   for (int iteration = 1;
        !stop && iteration < options.outer_iterations; ++iteration) {
     const auto span = trace_span(tracer, "outer_iteration");
@@ -457,14 +436,14 @@ CodesignResult run_codesign(const arch::Biochip& chip,
       // a particle that will not be evaluated.
       if (check_stop("outer_pso")) break;
       for (std::size_t d = 0; d < dims; ++d) {
-        double v = kOmega * particle.velocity[d] +
-                   kC1 * outer_rng.uniform() *
+        double v = pso::kOmega * particle.velocity[d] +
+                   pso::kC1 * outer_rng.uniform() *
                        (particle.best_position[d] - particle.position[d]);
         if (!global_best_position.empty()) {
-          v += kC2 * outer_rng.uniform() *
+          v += pso::kC2 * outer_rng.uniform() *
                (global_best_position[d] - particle.position[d]);
         }
-        particle.velocity[d] = std::clamp(v, -kVmax, kVmax);
+        particle.velocity[d] = std::clamp(v, -kOuterVmax, kOuterVmax);
         particle.position[d] =
             std::clamp(particle.position[d] + particle.velocity[d], 0.0, 1.0);
       }
@@ -514,13 +493,11 @@ CodesignResult run_codesign(const arch::Biochip& chip,
     result.chip = apply_sharing(
         augmented[static_cast<std::size_t>(best_config)], best_scheme);
     result.exec_dft_optimized = global_best;
-    result.schedule = sched::schedule_assay(*result.chip, assay,
-                                            options.sched);
+    result.schedule = sched::schedule_assay(*result.chip, assay);
     ++baseline.scheduler_runs;
-    testgen::VectorGenOptions vopt = options.vectors;
-    vopt.plan = &result.plan;
     auto suite = testgen::generate_test_suite(
-        *result.chip, result.plan.source, result.plan.meter, vopt);
+        *result.chip, result.plan.source, result.plan.meter,
+        {.plan = &result.plan});
     ++baseline.testgen_runs;
     MFD_ASSERT(suite.has_value(),
                "optimized sharing scheme failed final test regeneration");

@@ -34,20 +34,15 @@ namespace mfd::core {
 /// "independent control ports available" scenario of Section 2 / Figure 7).
 arch::Biochip with_dedicated_controls(const arch::Biochip& augmented);
 
+/// Every stage (path planning, scheduling, vector generation) runs with its
+/// default options; the inner (valve sharing) swarm is fixed at 5 particles
+/// x 2 iterations (see run_codesign).
 struct CodesignOptions {
-  testgen::PathPlanOptions plan;
   /// Number of distinct DFT configurations enumerated for the outer level.
   int config_pool_size = 4;
   /// Outer PSO swarm (paper: 5 particles, 100 iterations total).
   int outer_particles = 5;
   int outer_iterations = 100;
-  /// Inner (valve sharing) PSO; paper uses 5 particles. Few iterations per
-  /// outer evaluation: the sub-swarm is warm-started at the outer particle's
-  /// current sharing vector, so refinement accumulates across outer
-  /// iterations.
-  pso::PsoOptions inner{.particles = 5, .iterations = 2, .seed = 99};
-  sched::ScheduleOptions sched;
-  testgen::VectorGenOptions vectors;
   /// Random-scheme attempts for the "DFT without PSO" baseline.
   int unoptimized_attempts = 200;
   std::uint64_t seed = 2024;

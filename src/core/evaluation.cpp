@@ -9,11 +9,13 @@ namespace {
 
 /// Everything shared by every configuration of one evaluator: the assay
 /// structure and the option fields that influence schedule or test-suite
-/// results. The control member is excluded on purpose — it affects
-/// truncation (never cached), not values.
-ContentHasher base_hasher(const sched::Assay& assay,
-                          const sched::ScheduleOptions& sched,
-                          const testgen::VectorGenOptions& vectors) {
+/// results. Candidates always run with the stages' default options; those
+/// are still mixed in, so keys match the cache segments earlier builds
+/// persisted. The control is excluded on purpose — it affects truncation
+/// (never cached), not values.
+ContentHasher base_hasher(const sched::Assay& assay) {
+  const sched::ScheduleOptions sched;
+  const testgen::VectorGenOptions vectors;
   ContentHasher h;
   h.mix_bytes(assay.name());
   h.mix_int(assay.operation_count());
@@ -43,8 +45,6 @@ ContentHasher base_hasher(const sched::Assay& assay,
 
 Evaluator::Evaluator(const EvaluatorOptions& options)
     : assay_(*options.assay),
-      sched_options_(options.sched),
-      vector_options_(options.vectors),
       pool_(*options.pool),
       control_(options.control),
       shared_cache_(options.cache),
@@ -52,8 +52,6 @@ Evaluator::Evaluator(const EvaluatorOptions& options)
       slot_stats_(static_cast<std::size_t>(options.pool->thread_count())) {
   MFD_REQUIRE(options.assay != nullptr, "EvaluatorOptions::assay is required");
   MFD_REQUIRE(options.pool != nullptr, "EvaluatorOptions::pool is required");
-  sched_options_.control = control_;
-  vector_options_.control = control_;
 }
 
 void Evaluator::add_config(const arch::Biochip& augmented,
@@ -64,7 +62,7 @@ void Evaluator::add_config(const arch::Biochip& augmented,
   // The per-configuration key prefix: base (assay + options) extended with
   // the augmented chip's full structure and the path plan's content. Forked
   // and completed with the sharing vector by candidate_key().
-  ContentHasher h = base_hasher(assay_, sched_options_, vector_options_);
+  ContentHasher h = base_hasher(assay_);
   h.mix_bytes(arch::chip_to_string(augmented));
   h.mix_int(plan.source);
   h.mix_int(plan.meter);
@@ -91,7 +89,7 @@ Evaluation Evaluator::compute(int config_index, const SharingScheme& scheme,
   {
     const StageTimer timer;
     const sched::Schedule schedule = sched::schedule_assay(
-        shared, assay_, sched_options_, contexts_[slot]);
+        shared, assay_, {.control = control_}, contexts_[slot]);
     stats.schedule_seconds += timer.seconds();
     ++stats.scheduler_runs;
     eval.schedule_ok = schedule.feasible;
@@ -101,11 +99,10 @@ Evaluation Evaluator::compute(int config_index, const SharingScheme& scheme,
     // Testability check: vector generation (and its full-coverage recheck)
     // runs on the batch fault kernel — one subgraph analysis per candidate
     // vector instead of one BFS pair per (fault, vector).
-    testgen::VectorGenOptions vopt = vector_options_;
-    vopt.plan = plans_[static_cast<std::size_t>(config_index)];
     const StageTimer timer;
     const auto suite = testgen::generate_test_suite(
-        shared, plan(config_index).source, plan(config_index).meter, vopt);
+        shared, plan(config_index).source, plan(config_index).meter,
+        {.plan = &plan(config_index), .control = control_});
     stats.testgen_seconds += timer.seconds();
     ++stats.testgen_runs;
     eval.tests_ok = suite.has_value();

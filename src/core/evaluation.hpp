@@ -77,12 +77,11 @@ struct Evaluation {
 
 /// Everything an Evaluator needs. The referenced assay and thread pool (and
 /// every configuration added later) must outlive the evaluator; control and
-/// cache are borrowed too, and both are optional.
+/// cache are borrowed too, and both are optional. Candidates are scheduled
+/// and their vectors generated with the stages' default options.
 struct EvaluatorOptions {
   /// Required: the bioassay being scheduled.
   const sched::Assay* assay = nullptr;
-  sched::ScheduleOptions sched;
-  testgen::VectorGenOptions vectors;
   /// Required: workers for evaluate_batch().
   ThreadPool* pool = nullptr;
   /// Optional cooperative deadline/cancel, threaded into the scheduler and
@@ -147,8 +146,6 @@ class Evaluator {
   void publish(const Hash128& key, const Evaluation& eval);
 
   const sched::Assay& assay_;
-  sched::ScheduleOptions sched_options_;
-  testgen::VectorGenOptions vector_options_;
   ThreadPool& pool_;
   const RunControl* control_ = nullptr;
   FitnessCache* shared_cache_ = nullptr;

@@ -68,16 +68,9 @@ int process_id() {
 
 FitnessCache::FitnessCache(FitnessCacheOptions options)
     : options_(std::move(options)) {
-  int shards = options_.shards < 1 ? 1 : options_.shards;
-  // Power-of-two shard count so shard_of() can mask instead of mod.
-  shards = static_cast<int>(std::bit_ceil(static_cast<unsigned>(shards)));
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (options_.max_bytes != 0) {
     const std::size_t total = options_.max_bytes / kBytesPerEntry;
-    max_entries_per_shard_ = total / shards_.size();
+    max_entries_per_shard_ = total / kShards;
     if (max_entries_per_shard_ == 0) max_entries_per_shard_ = 1;
   }
   if (!options_.dir.empty()) load();
@@ -141,8 +134,8 @@ bool FitnessCache::insert(const Hash128& key, const FitnessRecord& value,
 std::size_t FitnessCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->map.size();
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.map.size();
   }
   return total;
 }

@@ -11,7 +11,7 @@
 // result computed elsewhere.
 //
 // Two tiers:
-//   * in-memory: sharded, lock-striped hash maps (16 shards by default), so
+//   * in-memory: sharded, lock-striped hash maps (16 shards), so
 //     concurrent jobs in one svc batch share one cache with minimal
 //     contention. A byte budget (`max_bytes`) bounds the footprint with
 //     per-shard FIFO eviction — eviction can only cost recomputation, never
@@ -36,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -65,8 +64,6 @@ struct FitnessCacheOptions {
   /// Approximate in-memory budget in bytes (0 = unbounded). When a shard
   /// outgrows its slice, its oldest entries are evicted FIFO.
   std::size_t max_bytes = 256ull << 20;
-  /// Lock stripes; more shards = less contention between concurrent jobs.
-  int shards = 16;
 };
 
 /// Monotonic counters; snapshot via FitnessCache::stats().
@@ -112,10 +109,6 @@ class FitnessCache {
 
   [[nodiscard]] FitnessCacheStats stats() const;
 
-  [[nodiscard]] const FitnessCacheOptions& options() const {
-    return options_;
-  }
-
   /// Writes every entry added since the last persist() to one fresh segment
   /// file (atomic rename; concurrent processes never clobber each other).
   /// No-op without a configured dir or pending entries. Returns kOk, or an
@@ -130,6 +123,10 @@ class FitnessCache {
   /// died mid-persist are cleaned up.
   static constexpr std::chrono::minutes kStaleTempAge{15};
 
+  /// Lock stripes of the in-memory tier, a power of two so shard_of() can
+  /// mask instead of mod.
+  static constexpr std::size_t kShards = 16;
+
  private:
   struct Shard {
     mutable std::mutex mutex;
@@ -139,8 +136,7 @@ class FitnessCache {
   };
 
   [[nodiscard]] Shard& shard_of(const Hash128& key) {
-    return *shards_[static_cast<std::size_t>(key.hi) &
-                    (shards_.size() - 1)];
+    return shards_[static_cast<std::size_t>(key.hi) & (kShards - 1)];
   }
 
   /// Inserts into the right shard; returns true when the key was new.
@@ -152,7 +148,7 @@ class FitnessCache {
 
   FitnessCacheOptions options_;
   std::size_t max_entries_per_shard_ = 0;  // 0 = unbounded
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 
   std::mutex pending_mutex_;
   std::vector<std::pair<Hash128, FitnessRecord>> pending_;

@@ -80,12 +80,12 @@ PsoResult minimize(int dimensions, const BatchObjective& objective,
       position[p] = seed_positions[p];
       for (std::size_t d = 0; d < dim; ++d) {
         position[p][d] = std::clamp(position[p][d], 0.0, 1.0);
-        velocity[p][d] = rng.uniform(-options.vmax, options.vmax);
+        velocity[p][d] = rng.uniform(-kVmax, kVmax);
       }
     } else {
       for (std::size_t d = 0; d < dim; ++d) {
         position[p][d] = rng.uniform();
-        velocity[p][d] = rng.uniform(-options.vmax, options.vmax);
+        velocity[p][d] = rng.uniform(-kVmax, kVmax);
       }
     }
     best_position[p] = position[p];
@@ -108,12 +108,12 @@ PsoResult minimize(int dimensions, const BatchObjective& objective,
       for (std::size_t d = 0; d < dim; ++d) {
         const double r1 = rng.uniform();
         const double r2 = rng.uniform();
-        double v = options.omega * velocity[p][d] +
-                   options.c1 * r1 * (best_position[p][d] - position[p][d]);
+        double v = kOmega * velocity[p][d] +
+                   kC1 * r1 * (best_position[p][d] - position[p][d]);
         if (!result.best_position.empty()) {
-          v += options.c2 * r2 * (result.best_position[d] - position[p][d]);
+          v += kC2 * r2 * (result.best_position[d] - position[p][d]);
         }
-        velocity[p][d] = std::clamp(v, -options.vmax, options.vmax);
+        velocity[p][d] = std::clamp(v, -kVmax, kVmax);
         position[p][d] =
             std::clamp(position[p][d] + velocity[p][d], 0.0, 1.0);
       }

@@ -27,17 +27,16 @@
 
 namespace mfd::pso {
 
+/// The velocity update's inertia weight and cognitive (own-best) and
+/// social (swarm-best) accelerations, and the velocity clamp per dimension.
+inline constexpr double kOmega = 0.72;
+inline constexpr double kC1 = 1.49;
+inline constexpr double kC2 = 1.49;
+inline constexpr double kVmax = 0.25;
+
 struct PsoOptions {
   int particles = 5;
   int iterations = 100;
-  /// Inertia weight.
-  double omega = 0.72;
-  /// Cognitive (own-best) acceleration.
-  double c1 = 1.49;
-  /// Social (swarm-best) acceleration.
-  double c2 = 1.49;
-  /// Velocity clamp per dimension.
-  double vmax = 0.25;
   std::uint64_t seed = 42;
   /// Optional cooperative deadline/cancellation, polled at the serial
   /// iteration boundaries (between swarm batches). Borrowed, may be null.

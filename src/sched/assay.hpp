@@ -88,6 +88,17 @@ Assay make_cpa_assay();
 /// All paper assays (IVD, PID, CPA) in evaluation order.
 std::vector<Assay> make_paper_assays();
 
+/// An assay a job spec may name, with its builder.
+struct NamedAssay {
+  const char* name;
+  Assay (*make)();
+};
+
+/// Every assay a job spec may name, in the order messages list them.
+inline constexpr NamedAssay kNamedAssays[] = {{"IVD", make_ivd_assay},
+                                              {"PID", make_pid_assay},
+                                              {"CPA", make_cpa_assay}};
+
 /// Default operation durations used by the paper benchmarks (seconds).
 inline constexpr double kMixDuration = 50.0;
 inline constexpr double kDetectDuration = 40.0;

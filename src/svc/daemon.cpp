@@ -151,25 +151,17 @@ struct Peer {
 }  // namespace
 
 Status DaemonOptions::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
-  flag(port < 0 || port > 65535, "port must be in [0, 65535]");
-  flag(executors < 0 || executors > kMaxThreads,
-       "executors must be in [0, " + std::to_string(kMaxThreads) + "]");
-  flag(queue_capacity == 0, "queue_capacity must be >= 1");
-  flag(!valid_deadline(default_deadline_s),
-       std::string("default_deadline_s") + kDeadlineRange);
-  flag(cache_mb < 0, "cache_mb must be >= 0");
-  flag(max_attempts < 1, "max_attempts must be >= 1");
-  flag(backoff_base_s < 0.0, "backoff_base_s must be >= 0");
-  flag(backoff_max_s < backoff_base_s,
-       "backoff_max_s must be >= backoff_base_s");
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "daemon", std::move(problems));
+  Problems problems;
+  problems.flag(port < 0 || port > 65535, "port must be in [0, 65535]");
+  problems.flag(executors < 0 || executors > kMaxThreads,
+                "executors must be in [0, " + std::to_string(kMaxThreads) +
+                    "]");
+  problems.flag(queue_capacity == 0, "queue_capacity must be >= 1");
+  problems.flag(!valid_deadline(default_deadline_s),
+                std::string("default_deadline_s") + kDeadlineRange);
+  problems.flag(cache_mb < 0, "cache_mb must be >= 0");
+  problems.flag(max_attempts < 1, "max_attempts must be >= 1");
+  return problems.status("daemon");
 }
 
 struct JobDaemon::Impl {
@@ -185,11 +177,9 @@ struct JobDaemon::Impl {
   static ExecutionCore::Policy policy(const DaemonOptions& options) {
     ExecutionCore::Policy policy;
     policy.capacity = options.queue_capacity;
-    policy.age_promote_s = options.age_promote_s;
+    policy.age_promote_s = kBulkAgePromoteS;
     policy.default_deadline_s = options.default_deadline_s;
     policy.max_attempts = options.max_attempts;
-    policy.backoff_base_s = options.backoff_base_s;
-    policy.backoff_max_s = options.backoff_max_s;
     return policy;
   }
 

@@ -71,10 +71,9 @@ struct DaemonOptions {
   int executors = 1;
 
   /// Shared priority queue: capacity bounds admitted-but-unstarted jobs
-  /// across all clients (beyond it, jobs shed as kUnavailable);
-  /// age_promote_s is the bulk-starvation bound (see priority_queue.hpp).
+  /// across all clients (beyond it, jobs shed as kUnavailable). Bulk work
+  /// ages into arrival order after kBulkAgePromoteS (svc/executor.hpp).
   std::size_t queue_capacity = 64;
-  double age_promote_s = 5.0;
 
   /// Deadline applied to jobs whose spec has none (0 = none, at most
   /// kMaxDeadlineS).
@@ -86,11 +85,9 @@ struct DaemonOptions {
   std::string cache_dir;
   int cache_mb = 256;
 
-  /// Remote-worker loss policy (see svc/executor.hpp): losses per job
-  /// before quarantine, and the deterministic requeue backoff.
+  /// Remote-worker losses per job before quarantine; each loss requeues
+  /// the job after backoff_delay_s() (see svc/executor.hpp).
   int max_attempts = 3;
-  double backoff_base_s = 0.05;
-  double backoff_max_s = 2.0;
 
   /// All violations in one Status, CodesignOptions::validate() style.
   [[nodiscard]] Status validate() const;

@@ -19,6 +19,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kBackoffSeed = 2024;
+constexpr double kBackoffBaseS = 0.05;
+constexpr double kBackoffMaxS = 2.0;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -63,10 +65,9 @@ bool wait_readable(int fd, bool bounded, Clock::time_point deadline) {
 
 }  // namespace
 
-double backoff_delay_s(std::uint64_t seed, int job, int attempt, double base_s,
-                       double max_s) {
-  double delay = base_s * std::pow(2.0, attempt - 1);
-  if (delay > max_s) delay = max_s;
+double backoff_delay_s(std::uint64_t seed, int job, int attempt) {
+  double delay = kBackoffBaseS * std::pow(2.0, attempt - 1);
+  if (delay > kBackoffMaxS) delay = kBackoffMaxS;
   // Jitter from a stream keyed on (seed, job, attempt): the same seed
   // replays the exact same requeue schedule.
   std::uint64_t key = seed;
@@ -343,8 +344,7 @@ void ExecutionCore::lose(Task task, bool burned, const std::string& detail,
     }
     count([](ServiceMetrics& m) { ++m.jobs_retried; });
     std::this_thread::sleep_for(std::chrono::duration<double>(
-        backoff_delay_s(kBackoffSeed, task.index, task.attempt,
-                        policy_.backoff_base_s, policy_.backoff_max_s)));
+        backoff_delay_s(kBackoffSeed, task.index, task.attempt)));
   }
   task.enqueued = Clock::now();
   // Blocking: a requeue is not an admission, and a closed queue refuses it.

@@ -79,9 +79,14 @@ struct Task {
 };
 
 /// Deterministic requeue delay before attempt `attempt` (>= 1) of a job:
-/// exponential in the attempt, jittered by a hash of (seed, job, attempt).
-[[nodiscard]] double backoff_delay_s(std::uint64_t seed, int job, int attempt,
-                                     double base_s, double max_s);
+/// 0.05 s * 2^(attempt-1) capped at 2 s, jittered to [0.5, 1) of that by a
+/// hash of (seed, job, attempt).
+[[nodiscard]] double backoff_delay_s(std::uint64_t seed, int job, int attempt);
+
+/// Bulk jobs wait at most about this long behind interactive ones (see
+/// priority_queue.hpp): on the daemon, and in a batch run by more than one
+/// executor.
+inline constexpr double kBulkAgePromoteS = 5.0;
 
 class ExecutionCore {
  public:
@@ -93,12 +98,9 @@ class ExecutionCore {
     double age_promote_s = 0.0;
     /// Applied to specs without a deadline (0 = none).
     double default_deadline_s = 0.0;
-    /// Worker-pipe watchdog (0 = off); losses per job before quarantine;
-    /// requeue backoff.
+    /// Worker-pipe watchdog (0 = off); losses per job before quarantine.
     double stall_timeout_s = 0.0;
     int max_attempts = 3;
-    double backoff_base_s = 0.05;
-    double backoff_max_s = 2.0;
     /// A batch's drain control and tracer (borrowed, may be null).
     const RunControl* control = nullptr;
     Tracer* tracer = nullptr;

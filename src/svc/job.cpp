@@ -2,29 +2,24 @@
 
 #include <cstdio>
 
+#include "arch/chips.hpp"
 #include "common/error.hpp"
 #include "common/run_control.hpp"
+#include "sched/assay.hpp"
 
 namespace mfd::svc {
 
 namespace {
 
-const char* const kKnownChips[] = {"IVD_chip", "RA30_chip", "mRNA_chip",
-                                   "figure4_chip"};
-const char* const kKnownAssays[] = {"IVD", "PID", "CPA"};
-
-bool known_chip(const std::string& name) {
-  for (const char* chip : kKnownChips) {
-    if (name == chip) return true;
+/// "a, b, c or d": the names of `table`, for a message.
+template <typename Entry, std::size_t N>
+std::string name_list(const Entry (&table)[N]) {
+  std::string names;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (i > 0) names += i + 1 == N ? " or " : ", ";
+    names += table[i].name;
   }
-  return false;
-}
-
-bool known_assay(const std::string& name) {
-  for (const char* assay : kKnownAssays) {
-    if (name == assay) return true;
-  }
-  return false;
+  return names;
 }
 
 }  // namespace
@@ -83,45 +78,42 @@ JobClass job_class_of(const JobSpec& spec) {
 }
 
 Status JobSpec::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
-  flag(chip.empty() && chip_text.empty(),
-       "one of 'chip' or 'chip_text' is required");
-  flag(!chip.empty() && !chip_text.empty(),
-       "'chip' and 'chip_text' are mutually exclusive");
-  flag(!chip.empty() && !known_chip(chip),
-       "unknown chip '" + chip +
-           "' (want IVD_chip, RA30_chip, mRNA_chip or figure4_chip)");
+  Problems problems;
+  problems.flag(chip.empty() && chip_text.empty(),
+                "one of 'chip' or 'chip_text' is required");
+  problems.flag(!chip.empty() && !chip_text.empty(),
+                "'chip' and 'chip_text' are mutually exclusive");
+  problems.flag(!chip.empty() && find_named(arch::kNamedChips, chip) == nullptr,
+                "unknown chip '" + chip + "' (want " +
+                    name_list(arch::kNamedChips) + ")");
   if (kind == JobKind::kCodesign) {
-    flag(assay.empty() && assay_text.empty(),
-         "codesign jobs require one of 'assay' or 'assay_text'");
-    flag(!assay.empty() && !assay_text.empty(),
-         "'assay' and 'assay_text' are mutually exclusive");
-    flag(!assay.empty() && !known_assay(assay),
-         "unknown assay '" + assay + "' (want IVD, PID or CPA)");
-    flag(outer_iterations < 1, "outer_iterations must be >= 1");
-    flag(outer_particles < 1, "outer_particles must be >= 1");
-    flag(config_pool_size < 1, "config_pool_size must be >= 1");
+    problems.flag(assay.empty() && assay_text.empty(),
+                  "codesign jobs require one of 'assay' or 'assay_text'");
+    problems.flag(!assay.empty() && !assay_text.empty(),
+                  "'assay' and 'assay_text' are mutually exclusive");
+    problems.flag(
+        !assay.empty() && find_named(sched::kNamedAssays, assay) == nullptr,
+        "unknown assay '" + assay + "' (want " +
+            name_list(sched::kNamedAssays) + ")");
+    problems.flag(outer_iterations < 1, "outer_iterations must be >= 1");
+    problems.flag(outer_particles < 1, "outer_particles must be >= 1");
+    problems.flag(config_pool_size < 1, "config_pool_size must be >= 1");
   }
-  flag(universe != "stuck_at" && universe != "stuck_at_leakage",
-       "universe must be 'stuck_at' or 'stuck_at_leakage'");
-  flag(!valid_deadline(deadline_s),
-       std::string("deadline_s") + kDeadlineRange);
-  flag(threads < 0 || threads > kMaxThreads,
-       "threads must be in [0, " + std::to_string(kMaxThreads) + "]");
-  flag(seed > kMaxSeed, "seed must be at most " + std::to_string(kMaxSeed));
+  problems.flag(universe != "stuck_at" && universe != "stuck_at_leakage",
+                "universe must be 'stuck_at' or 'stuck_at_leakage'");
+  problems.flag(!valid_deadline(deadline_s),
+                std::string("deadline_s") + kDeadlineRange);
+  problems.flag(threads < 0 || threads > kMaxThreads,
+                "threads must be in [0, " + std::to_string(kMaxThreads) + "]");
+  problems.flag(seed > kMaxSeed,
+                "seed must be at most " + std::to_string(kMaxSeed));
   if (!priority.empty()) {
     JobClass parsed;
-    flag(!job_class_from_name(priority, &parsed),
-         "unknown priority '" + priority + "' (want interactive or bulk)");
+    problems.flag(!job_class_from_name(priority, &parsed),
+                  "unknown priority '" + priority +
+                      "' (want interactive or bulk)");
   }
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "job_spec",
-                      std::move(problems));
+  return problems.status("job_spec");
 }
 
 Json JobSpec::to_json() const {

@@ -19,6 +19,7 @@
 // delivered result once through ServiceMetrics::tally().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -38,6 +39,16 @@ inline constexpr int kMaxThreads = 256;
 /// could not travel through to_json() and back.
 inline constexpr std::uint64_t kMaxSeed =
     std::numeric_limits<std::int64_t>::max();
+
+/// The entry called `name` of a name-to-builder table (arch::kNamedChips,
+/// sched::kNamedAssays); null when the table has none.
+template <typename Entry, std::size_t N>
+const Entry* find_named(const Entry (&table)[N], const std::string& name) {
+  for (const Entry& entry : table) {
+    if (name == entry.name) return &entry;
+  }
+  return nullptr;
+}
 
 enum class JobKind {
   /// Full DFT codesign flow (core::run_codesign) on a chip x assay pair.

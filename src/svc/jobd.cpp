@@ -32,9 +32,6 @@ namespace mfd::svc {
 
 namespace {
 
-/// A batch's bulk jobs wait at most this long behind interactive ones.
-constexpr double kBatchAgePromoteS = 5.0;
-
 /// A batch's result slots: each result lands in its slot and passes the
 /// on_result hook; wait() returns once every task has a result.
 class BatchSink : public ResultSink {
@@ -188,24 +185,20 @@ Status run_on_daemon(const ClientOptions& options, Batch& batch,
 }  // namespace
 
 Status JobdOptions::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
+  Problems problems;
   const std::string bound = ", " + std::to_string(kMaxThreads) + "]";
-  flag(threads < 0 || threads > kMaxThreads, "threads must be in [0" + bound);
-  flag(!valid_deadline(deadline_s),
-       std::string("deadline_s") + kDeadlineRange);
-  flag(workers < 0 || workers > kMaxThreads, "workers must be in [0" + bound);
-  flag(workers > 0 && worker_command.empty(),
-       "worker_command must not be empty when workers > 0");
-  flag(stall_timeout_s < 0.0, "stall_timeout_s must be >= 0");
-  flag(max_attempts < 1, "max_attempts must be >= 1");
-  flag(cache_mb < 0, "cache_mb must be >= 0");
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "jobd", std::move(problems));
+  problems.flag(threads < 0 || threads > kMaxThreads,
+                "threads must be in [0" + bound);
+  problems.flag(!valid_deadline(deadline_s),
+                std::string("deadline_s") + kDeadlineRange);
+  problems.flag(workers < 0 || workers > kMaxThreads,
+                "workers must be in [0" + bound);
+  problems.flag(workers > 0 && worker_command.empty(),
+                "worker_command must not be empty when workers > 0");
+  problems.flag(stall_timeout_s < 0.0, "stall_timeout_s must be >= 0");
+  problems.flag(max_attempts < 1, "max_attempts must be >= 1");
+  problems.flag(cache_mb < 0, "cache_mb must be >= 0");
+  return problems.status("jobd");
 }
 
 ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
@@ -225,7 +218,7 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
   // The queue holds the whole batch. One executor runs it in input order,
   // so a crash after job k leaves exactly jobs 0..k journaled.
   policy.capacity = slots.size();
-  policy.age_promote_s = executors == 1 ? 0.0 : kBatchAgePromoteS;
+  policy.age_promote_s = executors == 1 ? 0.0 : kBulkAgePromoteS;
   policy.default_deadline_s = options.deadline_s;
   policy.stall_timeout_s = options.stall_timeout_s;
   policy.max_attempts = options.max_attempts;
@@ -393,7 +386,7 @@ JobdReport run_jobd(std::istream& in, std::ostream& out,
                                       &report.metrics);
   } else {
     std::unique_ptr<core::FitnessCache> cache;
-    if (options.shared_cache && options.workers <= 0) {
+    if (options.workers <= 0) {
       cache = open_fitness_cache(options.cache_dir, options.cache_mb);
     }
     report.metrics = run_batch(

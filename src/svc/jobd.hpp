@@ -91,15 +91,13 @@ struct JobdOptions {
   /// conn_drop) fire from it.
   std::string fault_inject;
 
-  /// Share one fitness cache across every codesign job of the batch
-  /// (in-process dispatch; worker batches share through cache_dir instead).
-  /// Output bytes are identical with the cache on or off — only wall time
-  /// and the ServiceMetrics cache_* counters change. false = per-job
-  /// private caches, exactly the pre-cache behavior.
-  bool shared_cache = true;
-  /// Directory of the persistent cache tier ("" = in-memory only): loaded
-  /// warm at startup, appended to when the batch ends. With workers > 0 the
-  /// flags are forwarded so each worker loads and persists the same tier.
+  /// The codesign jobs of an in-process batch share one fitness cache;
+  /// worker batches share through cache_dir instead. Output bytes equal
+  /// those of per-job private caches: only wall time and the ServiceMetrics
+  /// cache_* counters differ. cache_dir is the persistent tier ("" =
+  /// in-memory only): loaded warm at startup, appended to when the batch
+  /// ends. With workers > 0 the flags are forwarded so each worker loads
+  /// and persists the same tier.
   std::string cache_dir;
   /// In-memory cache budget in MiB (0 = unbounded).
   int cache_mb = 256;

@@ -45,18 +45,17 @@ class PriorityQueue {
   using Clock = std::chrono::steady_clock;
 
   /// `capacity` is shared across classes; `classes` is the number of
-  /// priority levels (class 0 is most urgent); `age_promote_s` is the
+  /// priority levels (class 0 is most urgent); `age_promote_s` (>= 0) is the
   /// front-of-class wait after which an entry is scheduled by global
-  /// arrival order instead of class (< 0 disables aging).
+  /// arrival order instead of class (0: one global FIFO).
   PriorityQueue(std::size_t capacity, int classes, double age_promote_s)
       : capacity_(capacity),
         age_promote_(std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(age_promote_s < 0.0 ? 0.0
-                                                              : age_promote_s))),
-        aging_enabled_(age_promote_s >= 0.0),
+            std::chrono::duration<double>(age_promote_s))),
         classes_(static_cast<std::size_t>(classes)) {
     MFD_REQUIRE(capacity > 0, "PriorityQueue: capacity must be positive");
     MFD_REQUIRE(classes > 0, "PriorityQueue: need at least one class");
+    MFD_REQUIRE(age_promote_s >= 0.0, "PriorityQueue: negative aging");
   }
 
   PriorityQueue(const PriorityQueue&) = delete;
@@ -141,7 +140,7 @@ class PriorityQueue {
         continue;
       }
       const Entry& front = queue.front();
-      if (aging_enabled_ && now - front.arrived >= age_promote_ &&
+      if (now - front.arrived >= age_promote_ &&
           front.seq < best->front().seq) {
         best = &queue;
       }
@@ -151,7 +150,6 @@ class PriorityQueue {
 
   const std::size_t capacity_;
   const Clock::duration age_promote_;
-  const bool aging_enabled_;
   std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;

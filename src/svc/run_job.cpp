@@ -17,10 +17,9 @@ namespace {
 
 arch::Biochip build_chip(const JobSpec& spec) {
   if (!spec.chip_text.empty()) return arch::chip_from_string(spec.chip_text);
-  if (spec.chip == "IVD_chip") return arch::make_ivd_chip();
-  if (spec.chip == "RA30_chip") return arch::make_ra30_chip();
-  if (spec.chip == "mRNA_chip") return arch::make_mrna_chip();
-  if (spec.chip == "figure4_chip") return arch::make_figure4_chip();
+  if (const auto* named = find_named(arch::kNamedChips, spec.chip)) {
+    return named->make();
+  }
   throw Error("run_job(): unknown chip '" + spec.chip + "'");
 }
 
@@ -28,9 +27,9 @@ sched::Assay build_assay(const JobSpec& spec) {
   if (!spec.assay_text.empty()) {
     return sched::assay_from_string(spec.assay_text);
   }
-  if (spec.assay == "IVD") return sched::make_ivd_assay();
-  if (spec.assay == "PID") return sched::make_pid_assay();
-  if (spec.assay == "CPA") return sched::make_cpa_assay();
+  if (const auto* named = find_named(sched::kNamedAssays, spec.assay)) {
+    return named->make();
+  }
   throw Error("run_job(): unknown assay '" + spec.assay + "'");
 }
 

@@ -491,14 +491,14 @@ PathPlan plan_dft_paths(const arch::Biochip& chip,
   if (!interrupted) return plan;  // genuinely infeasible: no fallback
 
   // The exact search was cut short before finding any plan. Degrade
-  // gracefully: report how it was interrupted and, when allowed, hand the
-  // instance to the deterministic greedy planner.
+  // gracefully: report how it was interrupted and hand the instance to the
+  // deterministic greedy planner.
   const StopReason reason =
       options.control != nullptr ? options.control->check() : StopReason::kNone;
   const Outcome outcome = reason != StopReason::kNone
                               ? outcome_of(reason)
                               : Outcome::kDeadlineExceeded;
-  if (options.heuristic_fallback && greedy_dft_paths(chip, plan)) {
+  if (greedy_dft_paths(chip, plan)) {
     plan.method = PathPlan::Method::kGreedyFallback;
     plan.status = Status::Fail(outcome, "plan_dft_paths",
                                "exact search interrupted; plan built by the "

@@ -45,13 +45,11 @@ struct PathPlanOptions {
   /// tail (edge costs are integral up to small epsilon terms).
   double unbiased_gap = 0.6;
   /// Optional cooperative deadline/cancellation, polled between ILP
-  /// re-solves and inside them. Borrowed, may be null.
+  /// re-solves and inside them. Borrowed, may be null. When the exact search
+  /// is interrupted (a stop, or a time/node limit inside a solve) before any
+  /// plan is found, the deterministic greedy planner (greedy_paths.hpp)
+  /// builds one instead; genuine infeasibility never triggers it.
   const RunControl* control = nullptr;
-  /// When the exact search is interrupted (RunControl stop, or a time/node
-  /// limit inside a solve) before any plan is found, build one with the
-  /// deterministic greedy planner (greedy_paths.hpp) instead of reporting
-  /// infeasibility. Genuine infeasibility never triggers the fallback.
-  bool heuristic_fallback = true;
 };
 
 struct PathPlan {

@@ -24,38 +24,33 @@ bool known_kind(const std::string& kind) {
   return svc::job_kind_from_name(kind, &parsed);
 }
 
-/// Appends the tier's problems to `problems` ("" = tier is valid).
-void validate_tier(const CampaignTier& tier, int index,
-                   std::string& problems) {
-  std::string local;
-  const auto flag = [&local](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!local.empty()) local += "; ";
-    local += what;
-  };
-  flag(tier.name.empty(), "name must not be empty");
-  flag(has_whitespace(tier.name), "name must not contain whitespace");
-  flag(tier.kinds.empty(), "kinds must not be empty");
+/// Flags the tier's problems in `problems`, as one entry naming the tier.
+void validate_tier(const CampaignTier& tier, int index, Problems& problems) {
+  Problems local;
+  local.flag(tier.name.empty(), "name must not be empty");
+  local.flag(has_whitespace(tier.name), "name must not contain whitespace");
+  local.flag(tier.kinds.empty(), "kinds must not be empty");
   for (const std::string& kind : tier.kinds) {
-    flag(!known_kind(kind),
-         "unknown kind '" + kind +
-             "' (want codesign, testgen, coverage or diagnosis)");
+    local.flag(!known_kind(kind),
+               "unknown kind '" + kind +
+                   "' (want codesign, testgen, coverage or diagnosis)");
   }
-  flag(tier.universe != "stuck_at" && tier.universe != "stuck_at_leakage",
-       "universe must be 'stuck_at' or 'stuck_at_leakage'");
-  flag(tier.threads < 0 || tier.threads > svc::kMaxThreads,
-       "threads must be in [0, " + std::to_string(svc::kMaxThreads) + "]");
-  flag(tier.job_seed > svc::kMaxSeed,
-       "job_seed must be at most " + std::to_string(svc::kMaxSeed));
-  flag(tier.outer_iterations < 1, "outer_iterations must be >= 1");
-  flag(tier.outer_particles < 1, "outer_particles must be >= 1");
-  flag(tier.config_pool_size < 1, "config_pool_size must be >= 1");
+  local.flag(
+      tier.universe != "stuck_at" && tier.universe != "stuck_at_leakage",
+      "universe must be 'stuck_at' or 'stuck_at_leakage'");
+  local.flag(tier.threads < 0 || tier.threads > svc::kMaxThreads,
+             "threads must be in [0, " + std::to_string(svc::kMaxThreads) +
+                 "]");
+  local.flag(tier.job_seed > svc::kMaxSeed,
+             "job_seed must be at most " + std::to_string(svc::kMaxSeed));
+  local.flag(tier.outer_iterations < 1, "outer_iterations must be >= 1");
+  local.flag(tier.outer_particles < 1, "outer_particles must be >= 1");
+  local.flag(tier.config_pool_size < 1, "config_pool_size must be >= 1");
   const Status family_status = tier.family.validate();
-  if (!family_status.ok()) flag(true, family_status.message);
-  if (local.empty()) return;
-  if (!problems.empty()) problems += "; ";
-  problems += "tier " + std::to_string(index) + " ('" + tier.name +
-              "'): " + local;
+  local.flag(!family_status.ok(), family_status.message);
+  problems.flag(!local.message.empty(),
+                "tier " + std::to_string(index) + " ('" + tier.name +
+                    "'): " + local.message);
 }
 
 }  // namespace
@@ -102,22 +97,14 @@ CampaignTier CampaignTier::from_json(const Json& json) {
 }
 
 Status CampaignSpec::validate() const {
-  std::string problems;
-  if (name.empty()) problems = "name must not be empty";
-  if (has_whitespace(name)) {
-    if (!problems.empty()) problems += "; ";
-    problems += "name must not contain whitespace";
-  }
-  if (tiers.empty()) {
-    if (!problems.empty()) problems += "; ";
-    problems += "campaign needs at least one tier";
-  }
+  Problems problems;
+  problems.flag(name.empty(), "name must not be empty");
+  problems.flag(has_whitespace(name), "name must not contain whitespace");
+  problems.flag(tiers.empty(), "campaign needs at least one tier");
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     validate_tier(tiers[t], static_cast<int>(t), problems);
   }
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "campaign_spec",
-                      std::move(problems));
+  return problems.status("campaign_spec");
 }
 
 Json CampaignSpec::to_json() const {

@@ -82,32 +82,28 @@ std::string member_name(const FamilySpec& spec, int index) {
 }  // namespace
 
 Status FamilySpec::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
-  flag(name.empty(), "name must not be empty");
-  flag(has_whitespace(name), "name must not contain whitespace");
-  flag(kind != "fpva" && kind != "synthetic",
-       "kind must be 'fpva' or 'synthetic'");
-  flag(count < 1, "count must be >= 1");
-  flag(seed > svc::kMaxSeed,
-       "seed must be at most " + std::to_string(svc::kMaxSeed));
-  flag(rows_min > rows_max, "rows_min must be <= rows_max");
-  flag(cols_min > cols_max, "cols_min must be <= cols_max");
-  flag(density_min > density_max, "density_min must be <= density_max");
-  flag(assay_ops_min < 1, "assay_ops_min must be >= 1");
-  flag(assay_ops_min > assay_ops_max,
-       "assay_ops_min must be <= assay_ops_max");
-  flag(assay_chain_probability < 0.0 || assay_chain_probability > 1.0,
-       "assay_chain_probability must be in [0, 1]");
-  flag(assay_detect_fraction < 0.0 || assay_detect_fraction > 1.0,
-       "assay_detect_fraction must be in [0, 1]");
+  Problems problems;
+  problems.flag(name.empty(), "name must not be empty");
+  problems.flag(has_whitespace(name), "name must not contain whitespace");
+  problems.flag(kind != "fpva" && kind != "synthetic",
+                "kind must be 'fpva' or 'synthetic'");
+  problems.flag(count < 1, "count must be >= 1");
+  problems.flag(seed > svc::kMaxSeed,
+                "seed must be at most " + std::to_string(svc::kMaxSeed));
+  problems.flag(rows_min > rows_max, "rows_min must be <= rows_max");
+  problems.flag(cols_min > cols_max, "cols_min must be <= cols_max");
+  problems.flag(density_min > density_max,
+                "density_min must be <= density_max");
+  problems.flag(assay_ops_min < 1, "assay_ops_min must be >= 1");
+  problems.flag(assay_ops_min > assay_ops_max,
+                "assay_ops_min must be <= assay_ops_max");
+  problems.flag(assay_chain_probability < 0.0 || assay_chain_probability > 1.0,
+                "assay_chain_probability must be in [0, 1]");
+  problems.flag(assay_detect_fraction < 0.0 || assay_detect_fraction > 1.0,
+                "assay_detect_fraction must be in [0, 1]");
   // The size sweep is monotone between its ends, so checking the two end
   // members' chip specs covers every intermediate one.
-  if (problems.empty()) {
+  if (problems.message.empty()) {
     for (const int index : {0, count - 1}) {
       Status end_status;
       if (kind == "fpva") {
@@ -116,16 +112,12 @@ Status FamilySpec::validate() const {
       } else {
         end_status = member_synthetic_spec(*this, index).validate();
       }
-      if (!end_status.ok()) {
-        flag(true, "member " + std::to_string(index) + ": " +
-                       end_status.message);
-      }
+      problems.flag(!end_status.ok(), "member " + std::to_string(index) +
+                                          ": " + end_status.message);
       if (count == 1) break;
     }
   }
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "family_spec",
-                      std::move(problems));
+  return problems.status("family_spec");
 }
 
 Json FamilySpec::to_json() const {

@@ -42,35 +42,28 @@ int fpva_lattice_edges(int rows, int cols) {
 }
 
 Status FpvaSpec::validate() const {
-  std::string problems;
-  const auto flag = [&problems](bool bad, const std::string& what) {
-    if (!bad) return;
-    if (!problems.empty()) problems += "; ";
-    problems += what;
-  };
-  flag(has_whitespace(name), "name must not contain whitespace");
-  flag(rows < 2 || cols < 2, "grid must be at least 2x2");
-  flag(ports < 2, "ports must be >= 2");
-  flag(mixers < 0, "mixers must be >= 0");
-  flag(detectors < 0, "detectors must be >= 0");
-  flag(!(channel_density > 0.0) || channel_density > 1.0,
-       "channel_density must be in (0, 1]");
+  Problems problems;
+  problems.flag(has_whitespace(name), "name must not contain whitespace");
+  problems.flag(rows < 2 || cols < 2, "grid must be at least 2x2");
+  problems.flag(ports < 2, "ports must be >= 2");
+  problems.flag(mixers < 0, "mixers must be >= 0");
+  problems.flag(detectors < 0, "detectors must be >= 0");
+  problems.flag(!(channel_density > 0.0) || channel_density > 1.0,
+                "channel_density must be in (0, 1]");
   if (rows >= 2 && cols >= 2) {
     const int boundary_nodes = 2 * (rows + cols) - 4;
     const int interior_nodes = (rows - 2) * (cols - 2);
-    flag(ports >= 2 && ports > boundary_nodes,
-         "not enough boundary nodes for the requested ports (" +
-             std::to_string(ports) + " > " + std::to_string(boundary_nodes) +
-             ")");
-    flag(mixers >= 0 && detectors >= 0 &&
-             mixers + detectors > interior_nodes,
-         "not enough interior nodes for the requested devices (" +
-             std::to_string(mixers + detectors) + " > " +
-             std::to_string(interior_nodes) + ")");
+    problems.flag(ports >= 2 && ports > boundary_nodes,
+                  "not enough boundary nodes for the requested ports (" +
+                      std::to_string(ports) + " > " +
+                      std::to_string(boundary_nodes) + ")");
+    problems.flag(mixers >= 0 && detectors >= 0 &&
+                      mixers + detectors > interior_nodes,
+                  "not enough interior nodes for the requested devices (" +
+                      std::to_string(mixers + detectors) + " > " +
+                      std::to_string(interior_nodes) + ")");
   }
-  if (problems.empty()) return Status::Ok();
-  return Status::Fail(Outcome::kInvalidOptions, "fpva_spec",
-                      std::move(problems));
+  return problems.status("fpva_spec");
 }
 
 arch::Biochip make_fpva_chip(const FpvaSpec& spec) {

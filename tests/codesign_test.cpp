@@ -150,7 +150,6 @@ class CodesignRunTest : public ::testing::Test {
     CodesignOptions options;
     options.outer_iterations = 3;
     options.config_pool_size = 2;
-    options.inner.iterations = 2;
     options.unoptimized_attempts = 50;
     return run_codesign(arch::make_ivd_chip(), sched::make_ivd_assay(),
                         options);

@@ -91,14 +91,6 @@ std::string client_bytes(int port, const std::string& jsonl,
   return out.str();
 }
 
-DaemonOptions fast_daemon_options() {
-  DaemonOptions options;
-  options.executors = 1;
-  options.backoff_base_s = 0.01;
-  options.backoff_max_s = 0.05;
-  return options;
-}
-
 /// Serves the daemon on `port` as a remote worker, reconnecting briefly.
 void serve_as_worker(int port) {
   ClientOptions daemon;
@@ -136,31 +128,26 @@ TEST(JobDaemon, RejectsInvalidOptions) {
 
 TEST(JobDaemon, LoopbackClientMatchesLocalRunByteForByte) {
   // The acceptance criterion: same bytes as run_jobd() over the socket,
-  // malformed and blank lines included, for every executor count and every
-  // queue discipline.
+  // malformed and blank lines included, for every executor count.
   const std::string jsonl = jobs_with_parse_edges_jsonl();
   const std::string baseline = jobd_baseline(jsonl);
   ASSERT_FALSE(baseline.empty());
 
-  const double disciplines[] = {-1.0, 0.0, 5.0};  // strict / FIFO / aged
   for (const int executors : {1, 4}) {
-    for (const double age_promote_s : disciplines) {
-      DaemonOptions options = fast_daemon_options();
-      options.executors = executors;
-      options.age_promote_s = age_promote_s;
-      JobDaemon daemon(options);
-      ASSERT_TRUE(daemon.start().ok());
-      EXPECT_EQ(client_bytes(daemon.port(), jsonl), baseline)
-          << "executors=" << executors << " age_promote_s=" << age_promote_s;
-      daemon.stop();
+    DaemonOptions options;
+    options.executors = executors;
+    JobDaemon daemon(options);
+    ASSERT_TRUE(daemon.start().ok());
+    EXPECT_EQ(client_bytes(daemon.port(), jsonl), baseline)
+        << "executors=" << executors;
+    daemon.stop();
 
-      const ServiceMetrics metrics = daemon.metrics();
-      EXPECT_EQ(metrics.clients_served, 1);
-      EXPECT_EQ(metrics.jobs_total, 11);  // 9 + malformed + tail
-      EXPECT_EQ(metrics.parse_errors, 1);
-      EXPECT_EQ(metrics.jobs_admitted, 10);
-      EXPECT_EQ(metrics.jobs_shed, 0);
-    }
+    const ServiceMetrics metrics = daemon.metrics();
+    EXPECT_EQ(metrics.clients_served, 1);
+    EXPECT_EQ(metrics.jobs_total, 11);  // 9 + malformed + tail
+    EXPECT_EQ(metrics.parse_errors, 1);
+    EXPECT_EQ(metrics.jobs_admitted, 10);
+    EXPECT_EQ(metrics.jobs_shed, 0);
   }
 }
 
@@ -168,7 +155,7 @@ TEST(JobDaemon, PriorityHintRoutesWholeStreamToBulkClass) {
   const std::string jsonl = mixed_jobs_jsonl();
   const std::string baseline = jobd_baseline(jsonl);
 
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   // The hello's priority covers specs without one — and scheduling class
   // must never leak into result bytes.
@@ -188,7 +175,7 @@ TEST(JobDaemon, SpecPriorityOverridesHelloHint) {
   const std::string jsonl = spec.to_json().dump() + "\n";
   const std::string baseline = jobd_baseline(jsonl);
 
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   EXPECT_EQ(client_bytes(daemon.port(), jsonl, "bulk"), baseline);
   daemon.stop();
@@ -212,7 +199,7 @@ TEST(JobDaemon, ConcurrentClientsEachGetTheirOwnOrderedStream) {
   const std::string baseline_a = jobd_baseline(jsonl_a);
   const std::string baseline_b = jobd_baseline(jsonl_b);
 
-  DaemonOptions options = fast_daemon_options();
+  DaemonOptions options;
   options.executors = 2;
   JobDaemon daemon(options);
   ASSERT_TRUE(daemon.start().ok());
@@ -238,7 +225,7 @@ TEST(JobDaemon, RemoteWorkerOnlyDaemonMatchesLocalRun) {
   const std::string jsonl = mixed_jobs_jsonl();
   const std::string baseline = jobd_baseline(jsonl);
 
-  DaemonOptions options = fast_daemon_options();
+  DaemonOptions options;
   options.executors = 0;
   JobDaemon daemon(options);
   ASSERT_TRUE(daemon.start().ok());
@@ -282,7 +269,7 @@ TEST(JobDaemon, JobLostToACrashedWorkerIsRetriedElsewhere) {
   const std::string jsonl = spec.to_json().dump() + "\n";
   const std::string baseline = jobd_baseline(jsonl);
 
-  DaemonOptions options = fast_daemon_options();
+  DaemonOptions options;
   options.executors = 0;  // only remote workers can serve
   JobDaemon daemon(options);
   ASSERT_TRUE(daemon.start().ok());
@@ -321,7 +308,7 @@ TEST(JobDaemon, ExhaustedRemoteAttemptsQuarantineTheJob) {
   spec.chip = "figure4_chip";
   const std::string jsonl = spec.to_json().dump() + "\n";
 
-  DaemonOptions options = fast_daemon_options();
+  DaemonOptions options;
   options.executors = 0;
   options.max_attempts = 1;  // one loss is final
   JobDaemon daemon(options);
@@ -361,7 +348,7 @@ TEST(JobDaemon, OverloadShedsWithTypedUnavailableInInputOrder) {
     jsonl += spec.to_json().dump() + "\n";
   }
 
-  DaemonOptions options = fast_daemon_options();
+  DaemonOptions options;
   options.executors = 0;  // nobody pops
   options.queue_capacity = 1;
   JobDaemon daemon(options);
@@ -405,7 +392,7 @@ TEST(JobDaemon, MixedStreamCountsEveryResultInOneBucket) {
   }
   jsonl += "{\"kind\": \"nope\"}\n";
 
-  DaemonOptions options = fast_daemon_options();
+  DaemonOptions options;
   options.executors = 0;  // nothing runs until the worker joins
   options.queue_capacity = 2;
   JobDaemon daemon(options);
@@ -501,7 +488,7 @@ std::vector<std::string> one_shot(int port, const std::string& line) {
 }
 
 TEST(JobDaemon, IdleConnectionsOwnNoThreads) {
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   const int before = thread_count();
   std::vector<net::FramedConnection> idle;
@@ -528,7 +515,7 @@ TEST(JobDaemon, EveryConnectionGetsOneWellFormedResultAndLeavesNothing) {
   const std::string line = spec.to_json().dump();
   const std::string expected = jobd_baseline(line + "\n");
 
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   for (int i = 0; i < 8; ++i) (void)one_shot(daemon.port(), line);  // warm
   const long before_kb = status_kb("VmSize:");
@@ -559,7 +546,7 @@ TEST(JobDaemon, DistinctInlineChipsKeepNoTextWarm) {
     spec.chip_text = chip + "# " + std::to_string(i) + padding + "\n";
     return spec.to_json().dump();
   };
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   const std::vector<std::string> first = one_shot(daemon.port(), line_for(-1));
   ASSERT_EQ(first.size(), 1u);
@@ -578,7 +565,7 @@ TEST(JobDaemon, DistinctInlineChipsKeepNoTextWarm) {
 }
 
 TEST(JobDaemon, ParseErrorsCarryTheLinesKindAndIdAsInABatch) {
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"{\"kind\":\"codesign\",\"id\":\"c1\",\"chip\":\"IVD_chip\","
@@ -602,7 +589,7 @@ TEST(JobDaemon, ParseErrorsCarryTheLinesKindAndIdAsInABatch) {
 }
 
 TEST(JobDaemon, DeeplyNestedLineGetsAParseResultAndTheDaemonKeepsServing) {
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   const std::vector<std::string> answers =
       one_shot(daemon.port(), std::string(100000, '['));
@@ -620,7 +607,7 @@ TEST(JobDaemon, DeeplyNestedLineGetsAParseResultAndTheDaemonKeepsServing) {
 }
 
 TEST(JobDaemon, OverlongLineDropsOnlyThatConnection) {
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   net::FramedConnection conn = open_client(daemon.port());
   // Past the line cap without a newline: the daemon drops the connection
@@ -652,7 +639,7 @@ TEST(JobDaemon, AClientThatNeverReadsDelaysNoOtherClient) {
   // One client floods malformed lines, each answered in place, and never
   // reads an answer. Once its unsent answers fill the socket, the daemon
   // stops reading it; every other client is still answered at once.
-  JobDaemon daemon(fast_daemon_options());
+  JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   net::FramedConnection flooder = open_client(daemon.port());
   std::thread flood([fd = flooder.fd()] {

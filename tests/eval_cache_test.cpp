@@ -18,7 +18,6 @@ struct Fixture {
   sched::Assay assay;
   std::vector<testgen::PathPlan> pool;
   std::vector<arch::Biochip> augmented;
-  CodesignOptions options;
 
   /// The IVD chip's pool of 2 by default. figure4_chip's pool of 4 adds 3,
   /// 4, 4 and 5 edges, so its configurations 1 and 2 have equal DFT valve
@@ -26,7 +25,7 @@ struct Fixture {
   explicit Fixture(arch::Biochip chip_in = arch::make_ivd_chip(),
                    int pool_size = 2)
       : chip(std::move(chip_in)), assay(sched::make_ivd_assay()) {
-    pool = enumerate_dft_configurations(chip, pool_size, options.plan);
+    pool = enumerate_dft_configurations(chip, pool_size);
     for (const testgen::PathPlan& plan : pool) {
       augmented.push_back(testgen::apply_plan(chip, plan));
     }
@@ -60,8 +59,6 @@ struct Fixture {
       ThreadPool& pool_ref, FitnessCache* cache = nullptr) {
     auto evaluator = std::make_unique<Evaluator>(
         EvaluatorOptions{.assay = &assay,
-                         .sched = options.sched,
-                         .vectors = options.vectors,
                          .pool = &pool_ref,
                          .cache = cache});
     for (std::size_t i = 0; i < augmented.size(); ++i) {

@@ -21,6 +21,7 @@
 #include "common/hash.hpp"
 #include "common/run_control.hpp"
 #include "svc/jobd.hpp"
+#include "svc/run_job.hpp"
 
 namespace mfd::core {
 namespace {
@@ -90,8 +91,7 @@ TEST(FitnessCacheTest, GetPutAndFirstWriterWins) {
 
 TEST(FitnessCacheTest, EvictsFifoUnderByteBudget) {
   FitnessCacheOptions options;
-  options.max_bytes = 4096;  // a few dozen entries
-  options.shards = 1;        // deterministic FIFO order
+  options.max_bytes = 4096;  // a few dozen entries, two per shard
   FitnessCache cache(options);
   for (std::uint64_t n = 0; n < 1000; ++n) {
     cache.put(key_of(n), record_of(static_cast<double>(n)));
@@ -351,11 +351,15 @@ std::string run_jobd_bytes(svc::JobdOptions options,
 }
 
 TEST(FitnessCacheTest, ResultsBytesIdenticalAcrossCacheModesAndThreads) {
-  // Reference: shared cache off, serial.
-  svc::JobdOptions off;
-  off.shared_cache = false;
-  const std::string reference = run_jobd_bytes(off);
-  ASSERT_FALSE(reference.empty());
+  // Reference: each job run on its own, with a private cache.
+  const std::vector<svc::JobSpec> specs{codesign_spec("a"),
+                                        codesign_spec("b")};
+  std::string reference;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    svc::JobResult result = svc::run_job(specs[i]);
+    result.index = static_cast<int>(i);
+    reference += result.to_json().dump() + "\n";
+  }
 
   // Cache on (memory only), serial and threaded.
   svc::JobdOptions on;

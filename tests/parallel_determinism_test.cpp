@@ -16,7 +16,6 @@ CodesignOptions fast_options(std::uint64_t seed) {
   CodesignOptions options;
   options.outer_iterations = 3;
   options.config_pool_size = 2;
-  options.inner.iterations = 2;
   options.unoptimized_attempts = 30;
   options.seed = seed;
   return options;

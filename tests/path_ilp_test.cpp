@@ -150,19 +150,6 @@ TEST(PathIlpTest, ExpiredDeadlineFallsBackToGreedyPlan) {
   EXPECT_EQ(plan.status.outcome, Outcome::kDeadlineExceeded);
 }
 
-TEST(PathIlpTest, FallbackDisabledReportsInterruptionWithoutPlan) {
-  const Biochip chip = arch::make_ivd_chip();
-  RunControl control;
-  control.set_timeout(-1.0);
-  PathPlanOptions options;
-  options.control = &control;
-  options.heuristic_fallback = false;
-  const PathPlan plan = plan_dft_paths(chip, options);
-  EXPECT_FALSE(plan.feasible);
-  EXPECT_EQ(plan.method, PathPlan::Method::kExactIlp);
-  EXPECT_FALSE(plan.status.ok());
-}
-
 TEST(PathIlpTest, PathsStartAndEndAtSelectedPorts) {
   const Biochip chip = arch::make_ra30_chip();
   const PathPlan plan = plan_dft_paths(chip);

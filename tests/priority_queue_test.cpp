@@ -19,19 +19,17 @@ namespace {
 
 constexpr int kInteractive = 0;
 constexpr int kBulk = 1;
-/// Aging disabled: pure strict priority.
-constexpr double kNoAging = -1.0;
 /// A threshold no test ever reaches: strict priority in practice, with the
 /// aging code path still armed.
 constexpr double kFarAging = 3600.0;
 
 TEST(PriorityQueue, RejectsZeroCapacityAndZeroClasses) {
-  EXPECT_THROW(PriorityQueue<int>(0, 2, kNoAging), Error);
-  EXPECT_THROW(PriorityQueue<int>(4, 0, kNoAging), Error);
+  EXPECT_THROW(PriorityQueue<int>(0, 2, kFarAging), Error);
+  EXPECT_THROW(PriorityQueue<int>(4, 0, kFarAging), Error);
 }
 
 TEST(PriorityQueue, RejectsClassOutOfRange) {
-  PriorityQueue<int> queue(4, 2, kNoAging);
+  PriorityQueue<int> queue(4, 2, kFarAging);
   EXPECT_THROW(queue.push(2, 1), Error);
   EXPECT_THROW(queue.push(-1, 1), Error);
 }
@@ -50,7 +48,7 @@ TEST(PriorityQueue, InteractiveIsServedBeforeEarlierBulk) {
 }
 
 TEST(PriorityQueue, FifoWithinEachClass) {
-  PriorityQueue<int> queue(8, 2, kNoAging);
+  PriorityQueue<int> queue(8, 2, kFarAging);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.push(kBulk, 100 + i));
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.push(kInteractive, i));
   for (int i = 0; i < 3; ++i) EXPECT_EQ(queue.pop(), std::optional<int>(i));
@@ -87,12 +85,12 @@ TEST(PriorityQueue, AgedBulkFrontBeatsFreshInteractive) {
   EXPECT_EQ(queue.pop(), std::optional<int>(2));
 }
 
-TEST(PriorityQueue, AgingDisabledNeverPromotes) {
-  PriorityQueue<int> queue(8, 2, kNoAging);
+TEST(PriorityQueue, BulkShortOfTheThresholdIsNeverPromoted) {
+  PriorityQueue<int> queue(8, 2, kFarAging);
   ASSERT_TRUE(queue.push(kBulk, 100));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   ASSERT_TRUE(queue.push(kInteractive, 1));
-  // However long the bulk entry waited, interactive still wins.
+  // The bulk entry waited, but not past the threshold: interactive wins.
   EXPECT_EQ(queue.pop(), std::optional<int>(1));
   EXPECT_EQ(queue.pop(), std::optional<int>(100));
 }
@@ -111,7 +109,7 @@ TEST(PriorityQueue, SteadyInteractiveLoadCannotStarveBulk) {
 }
 
 TEST(PriorityQueue, TryPushShedsWhenFullAndAfterClose) {
-  PriorityQueue<int> queue(2, 2, kNoAging);
+  PriorityQueue<int> queue(2, 2, kFarAging);
   EXPECT_TRUE(queue.try_push(kInteractive, 1));
   EXPECT_TRUE(queue.try_push(kBulk, 2));
   // Capacity is shared across classes: both flavours shed now.
@@ -124,7 +122,7 @@ TEST(PriorityQueue, TryPushShedsWhenFullAndAfterClose) {
 }
 
 TEST(PriorityQueue, CloseDrainsQueuedItemsThenReportsExhaustion) {
-  PriorityQueue<int> queue(4, 2, kNoAging);
+  PriorityQueue<int> queue(4, 2, kFarAging);
   ASSERT_TRUE(queue.push(kBulk, 100));
   ASSERT_TRUE(queue.push(kInteractive, 1));
   queue.close();
@@ -136,7 +134,7 @@ TEST(PriorityQueue, CloseDrainsQueuedItemsThenReportsExhaustion) {
 }
 
 TEST(PriorityQueue, PushBlocksUntilThereIsRoomAndCloseWakesIt) {
-  PriorityQueue<int> queue(1, 2, kNoAging);
+  PriorityQueue<int> queue(1, 2, kFarAging);
   ASSERT_TRUE(queue.push(kInteractive, 1));
   std::atomic<int> admitted{0};
   std::atomic<int> rejected{0};
@@ -165,7 +163,7 @@ TEST(PriorityQueue, PushBlocksUntilThereIsRoomAndCloseWakesIt) {
 }
 
 TEST(PriorityQueue, PopBlocksUntilAnItemArrives) {
-  PriorityQueue<int> queue(2, 2, kNoAging);
+  PriorityQueue<int> queue(2, 2, kFarAging);
   std::optional<int> seen;
   std::thread consumer([&] { seen = queue.pop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

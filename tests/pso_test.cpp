@@ -239,7 +239,6 @@ TEST(PsoTest, PositionsStayInUnitCube) {
   PsoOptions options;
   options.particles = 5;
   options.iterations = 40;
-  options.vmax = 0.9;
   minimize(3,
            sequential([](const std::vector<double>& x) {
              for (double v : x) {

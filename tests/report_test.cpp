@@ -10,7 +10,6 @@ CodesignResult small_run() {
   CodesignOptions options;
   options.outer_iterations = 2;
   options.config_pool_size = 1;
-  options.inner.iterations = 1;
   return run_codesign(arch::make_ivd_chip(), sched::make_ivd_assay(),
                       options);
 }

@@ -176,31 +176,15 @@ TEST(ValidateTest, ReportsEveryInvalidField) {
   options.config_pool_size = 0;
   options.outer_particles = 0;
   options.outer_iterations = 0;
-  options.inner.particles = 0;
-  options.inner.iterations = -1;
-  options.inner.vmax = 0.0;
   options.unoptimized_attempts = -1;
   options.threads = -1;
-  options.plan.initial_paths = 0;
-  options.plan.max_paths = -1;
-  options.plan.time_limit_seconds = 0.0;
-  options.sched.transport_time_per_edge = 0.0;
-  options.sched.route_retries = -1;
-  options.sched.detour_tolerance = -1;
-  options.sched.time_limit = 0.0;
-  options.vectors.attempts_per_fault = 0;
   const Status status = options.validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.outcome, Outcome::kInvalidOptions);
   EXPECT_EQ(status.stage, "options");
   for (const char* field :
        {"config_pool_size", "outer_particles", "outer_iterations",
-        "inner.particles", "inner.iterations", "inner.vmax",
-        "unoptimized_attempts", "threads", "plan.initial_paths",
-        "plan.max_paths", "plan.time_limit_seconds",
-        "sched.transport_time_per_edge", "sched.route_retries",
-        "sched.detour_tolerance", "sched.time_limit",
-        "vectors.attempts_per_fault"}) {
+        "unoptimized_attempts", "threads"}) {
     EXPECT_NE(status.message.find(field), std::string::npos)
         << "missing field: " << field;
   }
@@ -252,7 +236,6 @@ core::CodesignOptions fast_codesign_options() {
   core::CodesignOptions options;
   options.outer_iterations = 3;
   options.config_pool_size = 2;
-  options.inner.iterations = 2;
   options.unoptimized_attempts = 30;
   return options;
 }

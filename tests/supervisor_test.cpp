@@ -12,6 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -40,14 +42,17 @@ JobdOptions worker_options(int workers) {
   return options;
 }
 
-/// Runs every spec of the batch; `metrics` (optional) receives its metrics.
-std::vector<JobResult> run(const std::vector<JobSpec>& specs,
-                           const JobdOptions& options,
-                           ServiceMetrics* metrics = nullptr) {
+/// Runs every spec of the batch; `metrics` (optional) receives its metrics,
+/// and `on_result` (optional) sees each result as it arrives.
+std::vector<JobResult> run(
+    const std::vector<JobSpec>& specs, const JobdOptions& options,
+    ServiceMetrics* metrics = nullptr,
+    const std::function<void(const JobResult&)>& on_result = {}) {
   std::vector<int> slots(specs.size());
   std::iota(slots.begin(), slots.end(), 0);
   std::vector<JobResult> results(specs.size());
-  const ServiceMetrics m = run_batch(specs, slots, results, options);
+  const ServiceMetrics m =
+      run_batch(specs, slots, results, options, nullptr, on_result);
   if (metrics != nullptr) *metrics = m;
   return results;
 }
@@ -228,18 +233,18 @@ TEST(SupervisorTest, ValidateRejectsBadOptions) {
 }
 
 TEST(SupervisorTest, BackoffDelayIsDeterministicBoundedAndGrowing) {
-  const double d1 = backoff_delay_s(7, 3, 1, 0.05, 2.0);
-  EXPECT_EQ(d1, backoff_delay_s(7, 3, 1, 0.05, 2.0));  // reproducible
-  EXPECT_NE(d1, backoff_delay_s(8, 3, 1, 0.05, 2.0));  // seed-sensitive
+  const double d1 = backoff_delay_s(7, 3, 1);
+  EXPECT_EQ(d1, backoff_delay_s(7, 3, 1));  // reproducible
+  EXPECT_NE(d1, backoff_delay_s(8, 3, 1));  // seed-sensitive
 
   for (int attempt = 1; attempt <= 10; ++attempt) {
-    const double delay = backoff_delay_s(7, 3, attempt, 0.05, 2.0);
+    const double delay = backoff_delay_s(7, 3, attempt);
     // Jitter keeps each delay within [0.5, 1.0) x the exponential step,
     // and the cap holds for arbitrarily late attempts.
     EXPECT_GE(delay, 0.0);
     EXPECT_LT(delay, 2.0);
   }
-  EXPECT_GE(backoff_delay_s(7, 3, 9, 0.05, 2.0), 0.5 * 2.0 * 0.5);
+  EXPECT_GE(backoff_delay_s(7, 3, 9), 0.5 * 2.0 * 0.5);
 }
 
 /// What run_worker() did with one request stream.
@@ -476,9 +481,23 @@ TEST(SupervisorTest, SignalStormDuringBatchStaysByteIdentical) {
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
   });
+  // A batch this small can finish before a loaded host schedules the storm
+  // thread at all. The first result therefore holds its executor (bounded)
+  // until a burst has reached the caller and both executors, which are all
+  // alive until the last result is in.
+  std::once_flag held;
+  const auto hold_first = [&held, &widest](const JobResult&) {
+    std::call_once(held, [&widest] {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (widest.load() < 3 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  };
   ServiceMetrics metrics;
   const std::vector<JobResult> results =
-      run(specs, worker_options(2), &metrics);
+      run(specs, worker_options(2), &metrics, hold_first);
   storming.store(false);
   storm.join();
   ASSERT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);

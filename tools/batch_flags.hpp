@@ -50,9 +50,9 @@ struct BatchFlags {
   std::string priority;
 
   /// Takes `arg`, and its value, when it is one of the flags both tools
-  /// take: --threads --workers --cache-dir --cache-mb --no-shared-cache
-  /// --journal --resume --connect --priority. False when it is none of
-  /// them; *ok turns false when its value is missing or malformed.
+  /// take: --threads --workers --cache-dir --cache-mb --journal --resume
+  /// --connect --priority. False when it is none of them; *ok turns false
+  /// when its value is missing or malformed.
   bool take(Flags& flags, const std::string& arg, bool* ok) {
     if (arg == "--threads") {
       *ok = flags.take(&options.threads);
@@ -62,8 +62,6 @@ struct BatchFlags {
       *ok = flags.take(&options.cache_dir);
     } else if (arg == "--cache-mb") {
       *ok = flags.take(&options.cache_mb);
-    } else if (arg == "--no-shared-cache") {
-      options.shared_cache = false;
     } else if (arg == "--journal") {
       *ok = flags.take(&options.journal_dir);
     } else if (arg == "--resume") {

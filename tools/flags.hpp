@@ -2,15 +2,19 @@
 // binaries' environment knobs. A flag's value is the argument after it; a
 // numeric value must parse whole (std::from_chars, finite for doubles), so
 // "4x", "abc" or an out-of-range number is an error that names the flag
-// instead of a silent 0.
+// instead of a silent 0. A flag the chosen mode never reads is refused the
+// same way (Flags::refuse), instead of doing nothing.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 namespace mfd::tools {
 
@@ -32,9 +36,26 @@ class Flags {
  public:
   Flags(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
-  /// Moves to the next argument; false after the last one.
-  bool next() { return ++at_ < argc_; }
+  /// Moves to the next flag; false after the last argument.
+  bool next() {
+    if (++at_ >= argc_) return false;
+    given_.emplace_back(argv_[at_]);
+    return true;
+  }
   [[nodiscard]] std::string arg() const { return argv_[at_]; }
+
+  /// False, after a line naming the flag and `mode`, when one of `unread`
+  /// (the flags `mode` never reads) was given.
+  bool refuse(const char* mode, std::initializer_list<const char*> unread) {
+    for (const char* flag : unread) {
+      if (std::find(given_.begin(), given_.end(), flag) != given_.end()) {
+        std::fprintf(stderr, "%s: %s does nothing in %s mode\n", argv_[0], flag,
+                     mode);
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// Takes the current flag's value into *out. False, after a message that
   /// names the flag, when the value is missing or (for numbers) malformed.
@@ -62,6 +83,8 @@ class Flags {
   int argc_;
   char** argv_;
   int at_ = 0;
+  /// Every flag read so far (not their values).
+  std::vector<std::string> given_;
 };
 
 }  // namespace mfd::tools

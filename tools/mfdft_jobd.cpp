@@ -25,8 +25,6 @@
 //                      (results are byte-identical either way)
 //   --cache-mb N       in-memory fitness-cache budget in MiB (default 256,
 //                      0 = unbounded)
-//   --no-shared-cache  give every job a private cache (disables cross-job
-//                      sharing; useful for timing comparisons)
 //   --journal DIR      durable execution: append every completed job's
 //                      result (fsync'd) to DIR/results.journal so a crashed
 //                      or killed run loses at most its in-flight jobs
@@ -37,8 +35,8 @@
 //   --trace PATH       JSONL trace of per-job spans and service counters
 //   --worker           internal: run as a supervisor-driven worker process
 //                      (one request envelope per stdin line, one result
-//                      line per job on stdout; --cache-dir/--cache-mb are
-//                      honored per worker)
+//                      line per job on stdout; reads only --cache-dir and
+//                      --cache-mb, per worker)
 //
 // Networked modes (same JSONL protocol over TCP — see svc/daemon.hpp):
 //
@@ -62,6 +60,9 @@
 //                        stream's jobs ("interactive" or "bulk"; a spec's
 //                        own priority field wins)
 //   --queue-capacity N   daemon admission bound (default 64)
+//
+// Each mode reads only the flags its --help line lists; any other exits 2
+// with a line naming the flag and the mode.
 //
 // Exit status (batch and client mode): 0 when every job ran OK, 3 when some
 // jobs failed or were stopped (their Status is in the results file), 2 on
@@ -104,14 +105,15 @@ int usage(const char* argv0) {
                "usage: %s [--in PATH] [--out PATH] [--threads N] "
                "[--workers N] [--stall-timeout-s S] [--max-attempts K] "
                "[--deadline-s S] [--cache-dir PATH] [--cache-mb N] "
-               "[--no-shared-cache] [--journal DIR] [--resume] "
-               "[--trace PATH] [--worker]\n"
+               "[--journal DIR] [--resume] [--trace PATH]\n"
                "       %s --listen HOST:PORT [--threads N] "
-               "[--queue-capacity N] [--deadline-s S] [--cache-dir PATH]\n"
+               "[--queue-capacity N] [--deadline-s S] [--max-attempts K] "
+               "[--cache-dir PATH] [--cache-mb N]\n"
                "       %s --connect HOST:PORT [--in PATH] [--out PATH] "
-               "[--journal DIR] [--resume] [--priority interactive|bulk] "
-               "[--worker]\n",
-               argv0, argv0, argv0);
+               "[--journal DIR] [--resume] [--priority interactive|bulk]\n"
+               "       %s --worker [--connect HOST:PORT] [--cache-dir PATH] "
+               "[--cache-mb N]\n",
+               argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -173,6 +175,24 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  const bool flags_read =
+      !listen_spec.empty()
+          ? flags.refuse("--listen", {"--in", "--out", "--workers", "--worker",
+                                      "--stall-timeout-s", "--journal",
+                                      "--resume", "--trace", "--priority"})
+      : worker_mode
+          ? flags.refuse("--worker", {"--in", "--out", "--threads", "--workers",
+                                      "--stall-timeout-s", "--max-attempts",
+                                      "--deadline-s", "--journal", "--resume",
+                                      "--trace", "--priority",
+                                      "--queue-capacity"})
+      : !batch.connect.empty()
+          ? flags.refuse("--connect", {"--threads", "--workers", "--trace",
+                                       "--stall-timeout-s", "--max-attempts",
+                                       "--deadline-s", "--cache-dir",
+                                       "--cache-mb", "--queue-capacity"})
+          : flags.refuse("batch", {"--priority", "--queue-capacity"});
+  if (!flags_read) return 2;
   if (!batch.check(argv[0], mfd::tools::self_path(argv[0]))) return 2;
 
   if (!listen_spec.empty()) {
@@ -217,10 +237,8 @@ int main(int argc, char** argv) {
     // Worker-side cache: each worker owns one, warm-loaded from the shared
     // --cache-dir (if any) and persisted at EOF — cross-process sharing is
     // disk-mediated.
-    std::unique_ptr<mfd::core::FitnessCache> cache;
-    if (options.shared_cache) {
-      cache = mfd::svc::open_fitness_cache(options.cache_dir, options.cache_mb);
-    }
+    const std::unique_ptr<mfd::core::FitnessCache> cache =
+        mfd::svc::open_fitness_cache(options.cache_dir, options.cache_mb);
     if (options.connect) {
       // Remote worker: donate this process to the daemon's pool.
       const int served =
