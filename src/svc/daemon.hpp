@@ -2,10 +2,11 @@
 //
 // run_jobd() serves one batch from one stream and exits. JobDaemon keeps
 // the same JSONL request/result envelope alive across connections: it
-// binds one TCP port, accepts any number of concurrent peers, and stays
-// warm between jobs — one shared core::FitnessCache and one svc::JobContext
-// (parsed chips/assays) serve every job the daemon ever runs, so a second
-// client's codesign sweep starts from the first client's evaluations.
+// binds one TCP port, accepts any number of concurrent peers, and keeps
+// one core::FitnessCache warm for its whole life, so a second client's
+// codesign sweep starts from the first client's evaluations. Parsed chips
+// and multiport suites live only while an admitted job claims them
+// (svc/executor.hpp), so the queue capacity bounds them.
 //
 // One listen port, two peer roles, told apart by a one-line JSON hello:
 //

@@ -127,25 +127,29 @@ struct ExecutionCore::Link {
   }
 };
 
-ExecutionCore::ExecutionCore(const Policy& policy, core::FitnessCache* cache,
-                             SuiteMemo* suites)
+ExecutionCore::ExecutionCore(const Policy& policy, core::FitnessCache* cache)
     // Clamped so a daemon's invalid options surface through its start()
     // as a Status instead of a precondition throw here.
     : policy_(policy),
       queue_(std::max<std::size_t>(policy.capacity, 1), kJobClassCount,
              policy.age_promote_s),
       cache_(cache),
-      suites_(suites),
       cache_built_(cache != nullptr ? cache->stats()
                                     : core::FitnessCacheStats{}) {}
 
 ExecutionCore::~ExecutionCore() { (void)close(); }
 
 bool ExecutionCore::submit(const Task& task) {
+  // Claimed before the push: from then on an executor may run the task and
+  // drop its claims.
+  context_.claim(*task.spec);
   // Counted under the metrics lock, so no executor can tally the job's
   // result before its admission.
   const std::lock_guard<std::mutex> lock(metrics_mutex_);
-  if (!queue_.try_push(task.job_class, task)) return false;
+  if (!queue_.try_push(task.job_class, task)) {
+    context_.release(*task.spec);
+    return false;
+  }
   ++metrics_.jobs_admitted;
   ++(task.job_class == static_cast<int>(JobClass::kInteractive)
          ? metrics_.admitted_interactive
@@ -224,6 +228,7 @@ std::vector<Task> ExecutionCore::close() {
   for (Slot& slot : slots) slot.thread.join();
   std::vector<Task> unrun;
   while (std::optional<Task> task = queue_.pop()) {
+    context_.release(*task->spec);
     unrun.push_back(std::move(*task));
   }
   return unrun;
@@ -241,6 +246,7 @@ ServiceMetrics ExecutionCore::metrics() const {
     metrics = metrics_;
   }
   metrics.wall_seconds = seconds_between(built_, Clock::now());
+  metrics.suites_reused = context_.suites_reused();
   if (cache_ != nullptr) {
     const core::FitnessCacheStats now = cache_->stats();
     metrics.cache_shared_hits = now.hits - cache_built_.hits;
@@ -322,7 +328,7 @@ JobResult ExecutionCore::run_here(const Task& task) {
                                 ? task.spec->deadline_s
                                 : policy_.default_deadline_s;
   if (deadline_s > 0.0) control.set_timeout(deadline_s);
-  return run_job(*task.spec, &control, cache_, &context_, suites_);
+  return run_job(*task.spec, &control, cache_, &context_);
 }
 
 void ExecutionCore::finish(const Task& task, JobResult result,
@@ -330,6 +336,8 @@ void ExecutionCore::finish(const Task& task, JobResult result,
   result.index = task.index;
   result.queue_wait_seconds = seconds_between(task.enqueued, started);
   result.run_seconds = seconds_between(started, Clock::now());
+  // Released first: once its sink has every result, a core holds nothing.
+  context_.release(*task.spec);
   deliver(*task.sink, std::move(result));
 }
 

@@ -5,10 +5,9 @@
 // svc::PriorityQueue (interactive work ahead of bulk codesign, with aging)
 // and executor threads drain it. An executor is one of three kinds:
 //
-//   - an in-process slot runs run_job() against the core's warm JobContext,
-//     shared fitness cache and, in a batch, the batch's SuiteMemo, under a
-//     per-job RunControl armed with the job's deadline and linked to the
-//     batch's drain control;
+//   - an in-process slot runs run_job() against the core's JobContext and
+//     shared fitness cache, under a per-job RunControl armed with the job's
+//     deadline and linked to the batch's drain control;
 //   - a worker-pipe slot ships each task to an `mfdft_jobd --worker`
 //     subprocess, kills it when no result arrives within the stall timeout,
 //     and respawns it when it dies;
@@ -26,6 +25,10 @@
 // Results go to each task's ResultSink: a batch's result slots (run_batch
 // in svc/jobd.hpp) or a daemon client's ordered stream (svc/daemon.hpp).
 // Tasks hold their spec by pointer, so a batch is never copied.
+//
+// The core owns the one JobContext (svc/run_job.hpp) that stores anything:
+// a task's claims last from submit() until its result is delivered or
+// close() hands it back, so a core holds no chip or suite once answered.
 //
 // The core keeps its owner's ServiceMetrics (svc/job.hpp). It tallies
 // every result before delivering it, the ones its owner answers without
@@ -106,19 +109,18 @@ class ExecutionCore {
     Tracer* tracer = nullptr;
   };
 
-  /// No executor runs until add_*() starts one. `cache` and `suites` are
-  /// borrowed, may be null, and serve in-process jobs only.
-  ExecutionCore(const Policy& policy, core::FitnessCache* cache,
-                SuiteMemo* suites = nullptr);
+  /// No executor runs until add_*() starts one. `cache` is borrowed, may
+  /// be null, and serves in-process jobs only.
+  ExecutionCore(const Policy& policy, core::FitnessCache* cache);
   /// close()s if still open.
   ~ExecutionCore();
 
   ExecutionCore(const ExecutionCore&) = delete;
   ExecutionCore& operator=(const ExecutionCore&) = delete;
 
-  /// Admits a task without blocking and counts it in jobs_admitted and its
-  /// class's counter; false when the queue is full or closed (the caller
-  /// sheds it).
+  /// Admits a task without blocking, claims its artifacts and counts it in
+  /// jobs_admitted and its class's counter; false when the queue is full
+  /// or closed (the caller sheds it).
   bool submit(const Task& task);
 
   /// Starts `count` in-process executor threads.
@@ -149,8 +151,11 @@ class ExecutionCore {
   }
 
   /// A snapshot, with wall_seconds and the cache counters measured since
-  /// the core was built.
+  /// the core was built, and the context's suites_reused.
   [[nodiscard]] ServiceMetrics metrics() const;
+
+  /// The artifacts the admitted jobs claim.
+  [[nodiscard]] const JobContext& context() const { return context_; }
 
  private:
   struct Link;
@@ -187,7 +192,6 @@ class ExecutionCore {
   const Policy policy_;
   PriorityQueue<Task> queue_;
   core::FitnessCache* cache_ = nullptr;
-  SuiteMemo* suites_ = nullptr;
   JobContext context_;
   const std::chrono::steady_clock::time_point built_ =
       std::chrono::steady_clock::now();

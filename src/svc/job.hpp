@@ -239,10 +239,10 @@ struct ServiceMetrics {
   std::int64_t cache_shared_misses = 0;
   std::int64_t cache_entries = 0;
   std::int64_t cache_disk_loaded = 0;
-  /// In-process batch jobs served a multiport suite another job of the
-  /// batch generated (svc/run_job.hpp SuiteMemo). Above one thread it
-  /// depends on timing, like cache_shared_hits; 0 for the daemon and for
-  /// worker batches.
+  /// In-process jobs served a multiport suite that another job admitted
+  /// with them generated (the core's JobContext, svc/run_job.hpp). Above
+  /// one executor, and on the daemon, it depends on timing, like
+  /// cache_shared_hits; 0 for worker batches and for a client.
   std::int64_t suites_reused = 0;
   /// Queue latency (admission -> start) over delivered results, and the
   /// owner's wall time, seconds.

@@ -224,14 +224,9 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
   policy.max_attempts = options.max_attempts;
   policy.control = options.control;
   policy.tracer = options.tracer;
-  // In-process jobs over one chip and seed share its multiport suite;
-  // worker processes generate their own.
-  SuiteMemo suites;
-  SuiteMemo* memo = options.workers > 0 ? nullptr : &suites;
-  ExecutionCore core(policy, cache, memo);
+  ExecutionCore core(policy, cache);
   for (const int slot : slots) {
     const JobSpec& spec = specs[static_cast<std::size_t>(slot)];
-    if (memo != nullptr) memo->expect(spec);
     Task task;
     task.spec = std::shared_ptr<const JobSpec>(std::shared_ptr<void>(), &spec);
     task.sink = sink;
@@ -260,8 +255,7 @@ ServiceMetrics run_batch(const std::vector<JobSpec>& specs,
   }
   sink->wait();
   (void)core.close();
-  ServiceMetrics metrics = core.metrics();
-  metrics.suites_reused = suites.hits();
+  const ServiceMetrics metrics = core.metrics();
   if (options.tracer != nullptr) {
     options.tracer->counter("svc.jobs_ok", metrics.jobs_ok);
     options.tracer->counter("svc.jobs_stopped", metrics.jobs_stopped);
@@ -435,9 +429,6 @@ int run_worker(net::FramedConnection& requests, net::FramedConnection& results,
       plan == nullptr ? FaultInjectPlan::from_env() : FaultInjectPlan{};
   const FaultInjectPlan& faults = plan != nullptr ? *plan : env_plan;
 
-  // Warm state for the worker's lifetime: chips/assays parsed once, served
-  // to every later job over the same inputs (results are unaffected).
-  JobContext context;
   using ReadStatus = net::FramedConnection::ReadStatus;
   std::string line;
   ReadStatus status = ReadStatus::kLine;
@@ -466,7 +457,7 @@ int run_worker(net::FramedConnection& requests, net::FramedConnection& results,
 
       RunControl control;
       if (spec.deadline_s > 0.0) control.set_timeout(spec.deadline_s);
-      result = run_job(spec, &control, cache, &context);
+      result = run_job(spec, &control, cache);
     } catch (const std::exception& e) {
       // A malformed envelope still gets an answer: the lockstep protocol
       // (one result line per request line) must never skew.

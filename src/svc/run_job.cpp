@@ -1,6 +1,8 @@
 #include "svc/run_job.hpp"
 
+#include <array>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "arch/chips.hpp"
@@ -33,31 +35,39 @@ sched::Assay build_assay(const JobSpec& spec) {
   throw Error("run_job(): unknown assay '" + spec.assay + "'");
 }
 
-/// The cached value for `key`, built outside the lock on a miss (`build`
-/// can be slow: chip_text can be large). The first value stored stays; a
-/// racing second build is dropped (both built the same deterministic
-/// value).
-template <typename T, typename Build>
-T cached(std::mutex& mutex,
-         std::unordered_map<Hash128, T, Hash128Hasher>& values,
-         const Hash128& key, Build build) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = values.find(key);
-    if (it != values.end()) return it->second;
-  }
-  T value = build();
-  const std::lock_guard<std::mutex> lock(mutex);
-  return values.emplace(key, std::move(value)).first->second;
-}
+/// The kinds of artifact a JobContext holds, mixed into every key.
+enum class Artifact : std::uint64_t { kChip = 1, kAssay = 2, kSuite = 3 };
 
-/// A named source and an inline text of the same bytes are distinct keys
-/// (their parse paths differ).
-Hash128 source_key(const std::string& name, const std::string& text) {
+/// The key of an artifact built from a named or an inline source, which
+/// are distinct keys for the same bytes (their parse paths differ). A
+/// suite's key adds the seed, the only other field generation reads.
+Hash128 artifact_key(Artifact artifact, const std::string& name,
+                     const std::string& text, std::uint64_t seed = 0) {
   ContentHasher hasher;
+  hasher.mix(static_cast<std::uint64_t>(artifact));
+  hasher.mix(seed);
   hasher.mix_bool(!text.empty());
   hasher.mix_bytes(!text.empty() ? text : name);
   return hasher.digest();
+}
+
+Hash128 chip_key(const JobSpec& spec) {
+  return artifact_key(Artifact::kChip, spec.chip, spec.chip_text);
+}
+
+Hash128 assay_key(const JobSpec& spec) {
+  return artifact_key(Artifact::kAssay, spec.assay, spec.assay_text);
+}
+
+Hash128 suite_key(const JobSpec& spec) {
+  return artifact_key(Artifact::kSuite, spec.chip, spec.chip_text, spec.seed);
+}
+
+/// The keys a job of `spec` resolves: its chip's, then its assay's
+/// (codesign) or its suite's.
+std::array<Hash128, 2> claimed_keys(const JobSpec& spec) {
+  return {chip_key(spec), spec.kind == JobKind::kCodesign ? assay_key(spec)
+                                                          : suite_key(spec)};
 }
 
 sim::FaultUniverse resolve_universe(const JobSpec& spec) {
@@ -99,27 +109,12 @@ void run_codesign_job(const JobSpec& spec, const arch::Biochip& chip,
 }
 
 /// Shared front half of testgen/coverage/diagnosis jobs: the multiport test
-/// suite of the chip as-is, taken from `suites` when the batch stored it.
-/// Returns null (with result.status set) when generation stopped or found
-/// the chip untestable; neither is stored.
+/// suite of the chip as-is. Returns null (with result.status set) when
+/// generation stopped or found the chip untestable.
 std::shared_ptr<const testgen::TestSuite> generate_suite(
-    const JobSpec& spec, const Hash128& chip_hash, const arch::Biochip& chip,
-    const RunControl* control, SuiteMemo* suites, JobResult& result) {
-  const Hash128 key = suite_key(chip_hash, spec.seed);
-  if (suites != nullptr) {
-    if (auto suite = suites->take(key)) return suite;
-  }
-  testgen::VectorGenOptions options;
-  options.seed = spec.seed;
-  options.control = control;
-  std::optional<testgen::TestSuite> generated =
-      testgen::generate_test_suite_multiport(chip, options);
-  if (generated.has_value()) {
-    auto suite =
-        std::make_shared<const testgen::TestSuite>(std::move(*generated));
-    if (suites != nullptr) suites->put(key, suite);
-    return suite;
-  }
+    const JobSpec& spec, const arch::Biochip& chip, const RunControl* control,
+    JobContext& context, JobResult& result) {
+  if (auto suite = context.suite(spec, chip, control)) return suite;
   const StopReason stop =
       control != nullptr ? control->stop_observed() : StopReason::kNone;
   if (stop != StopReason::kNone) {
@@ -171,65 +166,75 @@ void run_diagnosis_job(const JobSpec& spec, const arch::Biochip& chip,
 
 }  // namespace
 
-Hash128 chip_key(const JobSpec& spec) {
-  return source_key(spec.chip, spec.chip_text);
-}
-
-Hash128 suite_key(const Hash128& chip, std::uint64_t seed) {
-  ContentHasher hasher;
-  hasher.mix(chip.hi);
-  hasher.mix(chip.lo);
-  hasher.mix(seed);
-  return hasher.digest();
-}
-
-arch::Biochip JobContext::chip_for(const JobSpec& spec, const Hash128& key) {
-  return cached(mutex_, chips_, key, [&spec] { return build_chip(spec); });
-}
-
-sched::Assay JobContext::assay_for(const JobSpec& spec) {
-  return cached(mutex_, assays_, source_key(spec.assay, spec.assay_text),
-                [&spec] { return build_assay(spec); });
-}
-
-void SuiteMemo::expect(const JobSpec& spec) {
-  if (spec.kind == JobKind::kCodesign || !spec.validate().ok()) return;
-  const Hash128 key = suite_key(chip_key(spec), spec.seed);
+void JobContext::claim(const JobSpec& spec) {
+  const std::array<Hash128, 2> keys = claimed_keys(spec);
   const std::lock_guard<std::mutex> lock(mutex_);
-  ++expected_[key];
+  for (const Hash128& key : keys) ++entries_[key].claims;
 }
 
-std::shared_ptr<const testgen::TestSuite> SuiteMemo::take(const Hash128& key) {
+void JobContext::release(const JobSpec& spec) {
+  const std::array<Hash128, 2> keys = claimed_keys(spec);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto expected = expected_.find(key);
-  if (expected == expected_.end()) return nullptr;
-  const auto stored = suites_.find(key);
-  std::shared_ptr<const testgen::TestSuite> suite;
-  if (stored != suites_.end()) {
-    suite = stored->second;
-    ++hits_;
+  for (const Hash128& key : keys) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end() && --it->second.claims == 0) entries_.erase(it);
   }
-  if (--expected->second == 0) {
-    expected_.erase(expected);
-    if (stored != suites_.end()) suites_.erase(stored);
+}
+
+template <typename T, typename Build>
+std::shared_ptr<const T> JobContext::resolve(const Hash128& key, Build build) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.value != nullptr) {
+      if constexpr (std::is_same_v<T, testgen::TestSuite>) ++suites_reused_;
+      return std::static_pointer_cast<const T>(it->second.value);
+    }
   }
-  return suite;
+  std::shared_ptr<const T> value = build();  // unlocked: it can be slow
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(key);
+  if (value != nullptr && it != entries_.end() && it->second.value == nullptr) {
+    it->second.value = value;
+  }
+  return value;
 }
 
-void SuiteMemo::put(const Hash128& key,
-                    std::shared_ptr<const testgen::TestSuite> suite) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (expected_.count(key) != 0) suites_.emplace(key, std::move(suite));
+std::shared_ptr<const arch::Biochip> JobContext::chip(const JobSpec& spec) {
+  return resolve<arch::Biochip>(chip_key(spec), [&spec] {
+    return std::make_shared<const arch::Biochip>(build_chip(spec));
+  });
 }
 
-std::int64_t SuiteMemo::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
+std::shared_ptr<const sched::Assay> JobContext::assay(const JobSpec& spec) {
+  return resolve<sched::Assay>(assay_key(spec), [&spec] {
+    return std::make_shared<const sched::Assay>(build_assay(spec));
+  });
 }
 
-std::size_t SuiteMemo::size() const {
+std::shared_ptr<const testgen::TestSuite> JobContext::suite(
+    const JobSpec& spec, const arch::Biochip& chip,
+    const RunControl* control) {
+  return resolve<testgen::TestSuite>(
+      suite_key(spec), [&]() -> std::shared_ptr<const testgen::TestSuite> {
+        testgen::VectorGenOptions options;
+        options.seed = spec.seed;
+        options.control = control;
+        auto generated = testgen::generate_test_suite_multiport(chip, options);
+        if (!generated.has_value()) return nullptr;
+        return std::make_shared<const testgen::TestSuite>(
+            std::move(*generated));
+      });
+}
+
+std::int64_t JobContext::suites_reused() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return suites_.size();
+  return suites_reused_;
+}
+
+std::size_t JobContext::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 std::unique_ptr<core::FitnessCache> open_fitness_cache(const std::string& dir,
@@ -241,9 +246,8 @@ std::unique_ptr<core::FitnessCache> open_fitness_cache(const std::string& dir,
 }
 
 JobResult run_job(const JobSpec& spec, const RunControl* control,
-                  core::FitnessCache* cache, JobContext* context,
-                  SuiteMemo* suites) {
-  JobContext local;  // a job without a warm context parses its own inputs
+                  core::FitnessCache* cache, JobContext* context) {
+  JobContext local;  // claimed by nobody: stores nothing
   JobContext& inputs = context != nullptr ? *context : local;
   JobResult result;
   result.id = spec.id;
@@ -262,12 +266,11 @@ JobResult run_job(const JobSpec& spec, const RunControl* control,
   }
   // The inputs, resolved once before dispatch: chip or assay text that
   // does not parse is the caller's error, not the job's.
-  const Hash128 chip_hash = chip_key(spec);
-  std::optional<arch::Biochip> chip;
-  std::optional<sched::Assay> assay;
+  std::shared_ptr<const arch::Biochip> chip;
+  std::shared_ptr<const sched::Assay> assay;
   try {
-    chip.emplace(inputs.chip_for(spec, chip_hash));
-    if (spec.kind == JobKind::kCodesign) assay.emplace(inputs.assay_for(spec));
+    chip = inputs.chip(spec);
+    if (spec.kind == JobKind::kCodesign) assay = inputs.assay(spec);
   } catch (const std::exception& e) {
     result.status =
         Status::Fail(Outcome::kInvalidOptions, "job_spec", e.what());
@@ -276,8 +279,8 @@ JobResult run_job(const JobSpec& spec, const RunControl* control,
   try {
     if (spec.kind == JobKind::kCodesign) {
       run_codesign_job(spec, *chip, *assay, control, cache, result);
-    } else if (const auto suite = generate_suite(spec, chip_hash, *chip,
-                                                 control, suites, result)) {
+    } else if (const auto suite =
+                   generate_suite(spec, *chip, control, inputs, result)) {
       if (spec.kind == JobKind::kTestgen) {
         run_testgen_job(*suite, result);
       } else if (spec.kind == JobKind::kCoverage) {

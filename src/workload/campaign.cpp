@@ -198,9 +198,12 @@ CampaignReport summarize_campaign(const CampaignSpec& spec,
       }
       ++report.chips;
     }
+    const int detected = job.spec.kind == svc::JobKind::kDiagnosis
+                             ? result.total_faults - result.undetected_faults
+                             : result.detected_faults;
     report.vectors_total += result.vectors;
     report.faults_total += result.total_faults;
-    report.faults_detected += result.detected_faults;
+    report.faults_detected += detected;
 
     CampaignRow row;
     row.id = result.id;
@@ -213,10 +216,9 @@ CampaignReport summarize_campaign(const CampaignSpec& spec,
     row.outcome = outcome_name(result.status.outcome);
     row.vectors = result.vectors;
     row.total_faults = result.total_faults;
-    row.detected_faults = result.detected_faults;
+    row.detected_faults = detected;
     row.coverage = result.total_faults > 0
-                       ? static_cast<double>(result.detected_faults) /
-                             result.total_faults
+                       ? static_cast<double>(detected) / result.total_faults
                        : 0.0;
     row.resolution = result.resolution;
     row.makespan = result.makespan;

@@ -119,6 +119,8 @@ struct CampaignReport {
   int valves_min = 0;
   int valves_max = 0;
   long long vectors_total = 0;
+  /// Summed over the rows, each with its own fault universe; a diagnosis
+  /// row detects every fault it does not leave undetected.
   long long faults_total = 0;
   long long faults_detected = 0;
   std::vector<CampaignRow> rows;

@@ -307,7 +307,8 @@ TEST_F(ChaosTest, CampaignCrashThenResumeIsByteIdentical) {
   EXPECT_NE(report.find("\"workers_lost\""), std::string::npos);
 }
 
-/// The per-batch suite memo (svc/run_job.hpp) through the real tools.
+/// Multiport suites shared by a campaign member's jobs (the execution
+/// core's JobContext, svc/run_job.hpp) through the real tools.
 class SuiteMemoTest : public ChaosTest {};
 
 TEST_F(SuiteMemoTest, ScalePresetIsByteEqualAcrossThreadsWorkersAndResume) {
@@ -351,8 +352,10 @@ TEST_F(ChaosTest, CampaignThroughDaemonMatchesInProcessRun) {
                     " 2>/dev/null"),
             0);
 
+  // One executor runs the daemon's queue in order, so a member's jobs wait
+  // there together and share its suite as they do in a local batch.
   DaemonOptions daemon_options;
-  daemon_options.executors = 2;
+  daemon_options.executors = 1;
   JobDaemon daemon(daemon_options);
   ASSERT_TRUE(daemon.start().ok());
   const fs::path out = dir_ / "connect.jsonl";
@@ -363,13 +366,14 @@ TEST_F(ChaosTest, CampaignThroughDaemonMatchesInProcessRun) {
                     " --json " + json.string() + " 2>/dev/null"),
             0);
   daemon.stop();
+  EXPECT_GT(daemon.metrics().suites_reused, 0);
 
   EXPECT_EQ(read_file(out), read_file(local_out));
   const Json local = Json::parse(read_file(local_json));
   const Json remote = Json::parse(read_file(json));
   EXPECT_GT(remote.at("wall_seconds").as_double(), 0.0);
-  // Only a local batch shares multiport suites between a member's jobs;
-  // the daemon's jobs each generate their own.
+  // The daemon counts the suites its jobs reused; its client, which sees
+  // only results, counts none.
   EXPECT_EQ(local.at("suites_reused").as_int(), 4);
   EXPECT_EQ(remote.at("suites_reused").as_int(), 0);
   for (const auto& [key, value] : local.as_object()) {
@@ -377,6 +381,30 @@ TEST_F(ChaosTest, CampaignThroughDaemonMatchesInProcessRun) {
     if (key == "suites_reused") continue;  // checked above
     EXPECT_EQ(remote.at(key).dump(), value.dump()) << key;
   }
+}
+
+TEST_F(ChaosTest, SmokeCampaignDetectsEveryFaultItCounts) {
+  // Every row adds its fault universe to the totals, a diagnosis row with
+  // the faults its suite does not leave undetected: the smoke suites
+  // detect them all.
+  const fs::path json = dir_ / "smoke.json";
+  ASSERT_EQ(run_cmd(std::string(MFDFT_CAMPAIGN_BIN) + " --preset smoke --json " +
+                    json.string() + " 2>/dev/null"),
+            0);
+  const Json report = Json::parse(read_file(json));
+  EXPECT_GT(report.at("faults_total").as_int(), 0);
+  EXPECT_EQ(report.at("faults_detected").as_int(),
+            report.at("faults_total").as_int());
+  int diagnosis_rows = 0;
+  for (const Json& row : report.at("rows").as_array()) {
+    if (row.at("kind").as_string() != "diagnosis") continue;
+    ++diagnosis_rows;
+    EXPECT_GT(row.at("total_faults").as_int(), 0);
+    EXPECT_EQ(row.at("detected_faults").as_int(),
+              row.at("total_faults").as_int());
+    EXPECT_EQ(row.at("coverage").as_double(), 1.0);
+  }
+  EXPECT_EQ(diagnosis_rows, 2);
 }
 
 TEST_F(ChaosTest, FailedJobExitsThreeThroughDaemonAsInBatchMode) {
@@ -543,7 +571,17 @@ std::vector<UnreadFlag> unread_flags() {
   // Port 1 refuses connections: a client that got as far as connecting
   // would report that instead of the refusal.
   const std::vector<Mode> modes = {
-      {jobd, "", "batch", "jobd_batch", {"--priority", "--queue-capacity"}},
+      {jobd,
+       "",
+       "batch",
+       "jobd_batch",
+       {"--priority", "--queue-capacity", "--stall-timeout-s",
+        "--max-attempts"}},
+      {jobd,
+       "--workers 2",
+       "--workers",
+       "jobd_workers",
+       {"--threads", "--priority", "--queue-capacity"}},
       {jobd,
        "--listen 127.0.0.1:0",
        "--listen",
@@ -560,7 +598,16 @@ std::vector<UnreadFlag> unread_flags() {
       {jobd, "--worker", "--worker", "jobd_worker", worker_unread},
       {jobd, "--worker --connect 127.0.0.1:1", "--worker",
        "jobd_remote_worker", worker_unread},
-      {campaign, "--preset smoke", "batch", "campaign_batch", {"--priority"}},
+      {campaign,
+       "--preset smoke",
+       "batch",
+       "campaign_batch",
+       {"--priority", "--jobd-bin"}},
+      {campaign,
+       "--preset smoke --workers 2",
+       "--workers",
+       "campaign_workers",
+       {"--threads", "--priority"}},
       {campaign,
        "--preset smoke --emit-jobs /nonexistent/jobs",
        "--emit-jobs",

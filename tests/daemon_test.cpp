@@ -26,6 +26,7 @@
 #include "net/socket.hpp"
 #include "svc/job.hpp"
 #include "svc/jobd.hpp"
+#include "workload/fpva.hpp"
 
 namespace mfd::svc {
 namespace {
@@ -533,23 +534,34 @@ TEST(JobDaemon, EveryConnectionGetsOneWellFormedResultAndLeavesNothing) {
 
 TEST(JobDaemon, DistinctInlineChipsKeepNoTextWarm) {
   // The daemon's JobContext keys parsed chips by a content hash of their
-  // text, so 200 chips that differ only in a 256 KiB comment keep 200
-  // small parsed chips warm and none of the 50 MiB of text.
+  // text and keeps one only while a queued or running job claims it. So
+  // 200 jobs over 32x32 arrays that differ only in a 128 KiB comment keep
+  // none of the 32 MiB of text, and none of the 200 parsed chips (about
+  // 20 MB), once they are answered. Each job's assay text does not parse,
+  // so the job ends right after its chip is parsed.
 #if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "ASan's quarantine keeps every freed line resident";
 #endif
-  const std::string chip = arch::chip_to_string(arch::make_figure4_chip());
-  const std::string padding(256 * 1024, 'x');
+  workload::FpvaSpec array;
+  array.rows = array.cols = 32;
+  const std::string chip =
+      arch::chip_to_string(workload::make_fpva_chip(array));
+  const std::string padding(128 * 1024, 'x');
   const auto line_for = [&](int i) {
     JobSpec spec;
-    spec.kind = JobKind::kTestgen;
+    spec.kind = JobKind::kCodesign;
     spec.chip_text = chip + "# " + std::to_string(i) + padding + "\n";
+    spec.assay_text = "not an assay";
     return spec.to_json().dump();
   };
   JobDaemon daemon;
   ASSERT_TRUE(daemon.start().ok());
   const std::vector<std::string> first = one_shot(daemon.port(), line_for(-1));
   ASSERT_EQ(first.size(), 1u);
+  const JobResult failed = JobResult::from_json(Json::parse(first[0]));
+  EXPECT_EQ(failed.status.outcome, Outcome::kInvalidOptions);
+  EXPECT_NE(failed.status.message.find("assay"), std::string::npos)
+      << failed.status.to_string();
   for (int i = 0; i < 8; ++i) (void)one_shot(daemon.port(), line_for(-2 - i));
   const long before_kb = status_kb("VmRSS:");
   ASSERT_GT(before_kb, 0);
@@ -559,9 +571,9 @@ TEST(JobDaemon, DistinctInlineChipsKeepNoTextWarm) {
     ASSERT_EQ(answers.size(), 1u) << "job " << i;
     ASSERT_EQ(answers[0], first[0]) << "job " << i;
   }
-  EXPECT_LT(status_kb("VmRSS:") - before_kb, 16 * 1024);
+  EXPECT_LT(status_kb("VmRSS:") - before_kb, 8 * 1024);
   daemon.stop();
-  EXPECT_EQ(daemon.metrics().jobs_ok, 209);
+  EXPECT_EQ(daemon.metrics().jobs_failed, 209);
 }
 
 TEST(JobDaemon, ParseErrorsCarryTheLinesKindAndIdAsInABatch) {

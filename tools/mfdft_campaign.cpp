@@ -20,7 +20,7 @@
 //   --json PATH        BENCH_campaign.json campaign report
 //   --threads N        in-process job-level workers (0 = hardware)
 //   --workers N        crash-isolated mfdft_jobd worker subprocesses
-//   --jobd-bin PATH    worker binary (default: mfdft_jobd next to this one)
+//   --jobd-bin PATH    --workers binary (default: mfdft_jobd beside this)
 //   --connect H:P      run the batch on a remote mfdft_jobd daemon (with
 //                      --journal/--resume as in a local run; no drain: a
 //                      signal kills the client, the journal keeps what
@@ -38,8 +38,8 @@
 //
 // With --connect the daemon runs the jobs, so --threads, --workers,
 // --jobd-bin, --cache-dir and --cache-mb are refused (exit 2, naming the
-// flag and the mode); without it, --priority is. --emit-jobs runs nothing
-// and takes only --spec or --preset.
+// flag and the mode); without it, --priority is, as are --threads with
+// --workers and --jobd-bin without. --emit-jobs takes only --spec/--preset.
 //
 // Exit status: 0 when every job ran OK, 3 when some failed or were stopped
 // (their Status is in the results), 2 on usage errors (a numeric flag must
@@ -66,8 +66,8 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--spec PATH | --preset smoke|scale] [--emit-jobs PATH]\n"
-      "       [--out PATH] [--json PATH] [--threads N] [--workers N]\n"
-      "       [--jobd-bin PATH] [--connect HOST:PORT] [--priority CLASS]\n"
+      "       [--out PATH] [--json PATH] [--threads N | --workers N\n"
+      "       [--jobd-bin PATH]] [--connect HOST:PORT] [--priority CLASS]\n"
       "       [--cache-dir PATH] [--cache-mb N] [--journal DIR] [--resume]\n",
       argv0);
   return 2;
@@ -193,10 +193,12 @@ int main(int argc, char** argv) {
                          {"--out", "--json", "--threads", "--workers",
                           "--jobd-bin", "--connect", "--priority",
                           "--cache-dir", "--cache-mb", "--journal", "--resume"})
-      : batch.connect.empty()
-          ? flags.refuse("batch", {"--priority"})
-          : flags.refuse("--connect", {"--threads", "--workers", "--jobd-bin",
-                                       "--cache-dir", "--cache-mb"});
+      : !batch.connect.empty()
+          ? flags.refuse("--connect", {"--threads", "--workers", "--jobd-bin",
+                                       "--cache-dir", "--cache-mb"})
+      : batch.options.workers > 0
+          ? flags.refuse("--workers", {"--threads", "--priority"})
+          : flags.refuse("batch", {"--jobd-bin", "--priority"});
   if (!flags_read) return 2;
   if (!batch.check(argv[0],
                    jobd_bin.empty() ? sibling_jobd(argv[0]) : jobd_bin)) {

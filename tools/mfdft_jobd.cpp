@@ -15,8 +15,8 @@
 //                      threads; a crashing or wedged job costs one worker,
 //                      never the batch (requeued with backoff, quarantined
 //                      as "unavailable" after --max-attempts crashes)
-//   --stall-timeout-s S  per-job watchdog in worker mode (0 = off)
-//   --max-attempts K   attempts per job before quarantine (worker mode)
+//   --stall-timeout-s S  per-job watchdog of --workers (0 = off)
+//   --max-attempts K   attempts per job before quarantine (--workers)
 //   --deadline-s S     default per-job deadline for jobs that set none
 //                      (at most 31536000, a year)
 //   --cache-dir PATH   persistent fitness-cache directory: loaded warm at
@@ -42,9 +42,9 @@
 //
 //   --listen HOST:PORT   long-lived daemon: serves any number of
 //                        concurrent clients and remote workers on one
-//                        port, stays warm (shared fitness cache + parsed
-//                        chips) between jobs, schedules interactive work
-//                        ahead of bulk codesign, and sheds overload as
+//                        port, keeps its fitness cache warm between jobs,
+//                        schedules interactive work ahead of bulk
+//                        codesign, and sheds overload as
 //                        "unavailable" results. Port 0 picks an ephemeral
 //                        port (printed to stderr). Runs until SIGINT/
 //                        SIGTERM; --threads sets the executor pool,
@@ -102,8 +102,8 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--in PATH] [--out PATH] [--threads N] "
-               "[--workers N] [--stall-timeout-s S] [--max-attempts K] "
+               "usage: %s [--in PATH] [--out PATH] [--threads N | "
+               "--workers N [--stall-timeout-s S] [--max-attempts K]] "
                "[--deadline-s S] [--cache-dir PATH] [--cache-mb N] "
                "[--journal DIR] [--resume] [--trace PATH]\n"
                "       %s --listen HOST:PORT [--threads N] "
@@ -191,7 +191,11 @@ int main(int argc, char** argv) {
                                        "--stall-timeout-s", "--max-attempts",
                                        "--deadline-s", "--cache-dir",
                                        "--cache-mb", "--queue-capacity"})
-          : flags.refuse("batch", {"--priority", "--queue-capacity"});
+      : options.workers > 0
+          ? flags.refuse("--workers", {"--threads", "--priority",
+                                       "--queue-capacity"})
+          : flags.refuse("batch", {"--stall-timeout-s", "--max-attempts",
+                                   "--priority", "--queue-capacity"});
   if (!flags_read) return 2;
   if (!batch.check(argv[0], mfd::tools::self_path(argv[0]))) return 2;
 
